@@ -20,10 +20,9 @@ import numpy as np
 
 from . import closure
 from . import mesh as mesh_mod
-from .closure import ACOUSTIC, QUADRATIC, NodalSolution
+from .closure import ACOUSTIC, QUADRATIC
 from .diagnostics import BoundaryFlux, entropy_production_cch
 from .eos import IdealGas
-from .errors import SolverFailure
 from .mesh import CchState, Mesh1D
 from .problems import BoundaryCondition
 
@@ -46,18 +45,14 @@ class NodalField:
         """Single nodal star pressure shared by both neighbors."""
         return 0.5 * (self.p_star_left + self.p_star_right)
 
-    def solution(self, j: int) -> NodalSolution:
-        return NodalSolution(float(self.u_star[j]), float(self.p_star_left[j]),
-                             float(self.p_star_right[j]),
-                             "quadratic" if self.order[j] == QUADRATIC else "acoustic")
-
 
 @dataclass(frozen=True)
 class CchStepReport:
-    dt_used: float
     nodal: NodalField
     entropy_production: np.ndarray
+    entropy_scale: np.ndarray       # P^n (|u - u*_L| + |u*_R - u|)
     boundary: BoundaryFlux
+    expansion: np.ndarray | None = None  # None: expanding cells produce entropy too
 
 
 def _one_sided_star(rho, c, p, u, u_star, gamma: float, side: str, solver: str):
@@ -77,7 +72,7 @@ def _one_sided_star(rho, c, p, u, u_star, gamma: float, side: str, solver: str):
     if solver == "acoustic":
         return linear, ACOUSTIC
     k = 0.5 * (gamma + 1.0)
-    if z * d * d >= k * rho * abs(d) ** 3:
+    if closure._admissible(z, rho, d, k):
         return linear + k * rho * d * d, QUADRATIC
     if sgn * d > 0.0:
         return linear + k * rho * d * d, ACOUSTIC
@@ -158,21 +153,13 @@ def step(state: CchState, mesh: Mesh1D, gas: IdealGas, dt: float,
     new_mesh = mesh_mod.update_geometry(mesh, us, dt)
     rho_new = m / new_mesh.cell_volumes
     eps_new = E_new - 0.5 * u_new ** 2
-
-    if not np.all(np.isfinite(eps_new)):
-        raise SolverFailure("non-finite internal energy",
-                            cell=int(np.argmin(np.isfinite(eps_new))))
-    if np.any(eps_new <= 0.0):
-        raise SolverFailure("nonpositive internal energy",
-                            cell=int(np.argmin(eps_new)))
-
-    p_new = np.asarray(gas.pressure(rho_new, eps_new))
-    c_new = np.asarray(gas.sound_speed(rho_new, p_new))
-    new_state = CchState(rho_new, u_new, E_new, eps_new, p_new, c_new)
+    new_state = CchState(rho_new, u_new, E_new, eps_new,
+                         *mesh_mod.cell_thermo(gas, rho_new, eps_new))
 
     production = entropy_production_cch(state.p, state.u, us,
                                         nodal.p_star_right, nodal.p_star_left)
     flux = BoundaryFlux(impulse_left=dt * ps[0], impulse_right=-dt * ps[-1],
                         work_left=dt * ps[0] * us[0], work_right=-dt * ps[-1] * us[-1])
-    report = CchStepReport(dt, nodal, production, flux)
+    scale = state.p * (np.abs(state.u - us[:-1]) + np.abs(us[1:] - state.u))
+    report = CchStepReport(nodal, production, scale, flux)
     return new_mesh, new_state, report

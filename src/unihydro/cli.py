@@ -8,6 +8,7 @@ import argparse
 import sys
 import time as _time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -53,7 +54,11 @@ class RunConfig:
             raise ConfigError(f"cfl must be in (0, 0.9], got {self.cfl}")
         if self.n_cells < 2:
             raise ConfigError(f"n_cells must be >= 2, got {self.n_cells}")
-        if self.dt_growth < 1.0:
+        if not (self.dt_init is None or 0.0 < self.dt_init < float("inf")):
+            raise ConfigError(f"dt_init must be finite and > 0, got {self.dt_init}")
+        if not self.dt_max > 0.0:
+            raise ConfigError(f"dt_max must be > 0, got {self.dt_max}")
+        if not self.dt_growth >= 1.0:
             raise ConfigError(f"dt_growth must be >= 1, got {self.dt_growth}")
         if self.t_end is not None and self.t_end < 0.0:
             raise ConfigError(f"t_end must be nonnegative, got {self.t_end}")
@@ -73,22 +78,8 @@ class RunResult:
     status: str = "success"
 
 
-def _velocity_jumps(state) -> np.ndarray:
-    """Per-cell velocity variation used to harden the CFL bound."""
-    if isinstance(state, SghState):
-        return np.abs(state.node_u[1:] - state.node_u[:-1])
-    d = np.abs(np.diff(state.u))
-    du = np.zeros_like(state.u)
-    if len(d):
-        du[:-1] = np.maximum(du[:-1], d)
-        du[1:] = np.maximum(du[1:], d)
-    return du
-
-
 def _cfl_candidate(state, mesh, cfl: float) -> float:
-    widths = mesh.cell_volumes
-    du = _velocity_jumps(state)
-    return cfl * float(np.min(widths / (state.c + du)))
+    return cfl * float(np.min(mesh.cell_volumes / (state.c + state.velocity_jumps())))
 
 
 def compute_dt(state, mesh, cfl: float, dt_prev: float | None,
@@ -131,6 +122,8 @@ def run(config: RunConfig) -> RunResult:
     problem = resolve_problem(config.problem)
     gas = IdealGas(problem.gamma)
     mesh, state = problems_mod.build_initial(problem, config.n_cells, config.method)
+    step = (partial(sgh_mod.step, mode=config.sgh_mode) if config.method == "sgh"
+            else partial(cch_mod.step, solver=config.cch_solver))
     t_end = problem.t_end if config.t_end is None else float(config.t_end)
 
     ledger = diag.ConservationLedger.open(mesh, state)
@@ -156,28 +149,15 @@ def run(config: RunConfig) -> RunResult:
             if dt_prev is None:
                 dt = min(dt, (config.dt_init if config.dt_init is not None
                               else 1e-4 * dt))
-            assert dt <= _cfl_candidate(state, mesh, config.cfl) * (1.0 + 1e-12)
 
-            before = state
-            if config.method == "sgh":
-                mesh, state, report = sgh_mod.step(
-                    state, mesh, gas, dt, problem.bc_left, problem.bc_right,
-                    mode=config.sgh_mode)
-                scale = before.p * np.abs(report.du)
-                expansion = report.du >= 0.0 if config.sgh_mode == "predictor_only" else None
-            else:
-                mesh, state, report = cch_mod.step(
-                    state, mesh, gas, dt, problem.bc_left, problem.bc_right,
-                    solver=config.cch_solver)
-                us = report.nodal.u_star
-                scale = before.p * (np.abs(before.u - us[:-1]) + np.abs(us[1:] - before.u))
-                expansion = None
-
+            mesh, state, report = step(state, mesh, gas, dt,
+                                       problem.bc_left, problem.bc_right)
             t += dt
             dt_prev = dt
             steps += 1
-            diag.audit_step(ledger, mesh, before, state, report.boundary, dt)
-            monitor.update(report.entropy_production, scale, expansion)
+            diag.audit_step(ledger, mesh, state, report.boundary)
+            monitor.update(report.entropy_production, report.entropy_scale,
+                           report.expansion)
             if np.any(state.eps <= eps_floor) or np.any(state.rho <= rho_floor):
                 bad = int(np.argmin(state.eps))
                 raise SolverFailure("positivity floor hit", cell=bad)
@@ -203,22 +183,13 @@ def _run_stem(config: RunConfig, problem: ProblemSpec) -> str:
     return f"{problem.name}_{config.method}_N{config.n_cells}"
 
 
-def _cell_velocity(state) -> np.ndarray:
-    if isinstance(state, CchState):
-        return state.u
-    return 0.5 * (state.node_u[:-1] + state.node_u[1:])
-
-
 def _write_outputs(config: RunConfig, problem: ProblemSpec, mesh, state, tag=""):
     import os
 
     os.makedirs(config.out, exist_ok=True)
     stem = os.path.join(config.out, _run_stem(config, problem) + tag)
-    u_cell = _cell_velocity(state)
-    if isinstance(state, CchState):
-        e_total = state.E
-    else:
-        e_total = state.eps + 0.5 * u_cell ** 2
+    u_cell = state.cell_u
+    e_total = state.E if isinstance(state, CchState) else state.eps + 0.5 * u_cell ** 2
     with open(stem + ".csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,rho,u,p,eps,e_total\n")
         for row in zip(mesh.cell_centers, state.rho, u_cell, state.p, state.eps, e_total):
@@ -307,7 +278,7 @@ def run_convergence(config: RunConfig, n_list, n_reference: int = 3200) -> Conve
         else:
             rx, rfields = reference_cache
             ref = {f: np.interp(centers, rx, rfields[f]) for f in FIELDS}
-        num = {"rho": result.state.rho, "u": _cell_velocity(result.state),
+        num = {"rho": result.state.rho, "u": result.state.cell_u,
                "p": result.state.p, "eps": result.state.eps}
         vols = result.mesh.cell_volumes
         errs = {f: diag.l1_error(num[f], ref[f], vols) for f in FIELDS}
@@ -341,11 +312,19 @@ def _load_config_file(path: str) -> dict:
             values[key.strip()] = value.strip()
     return values
 
+
+def _number_list(text: str, kind=float) -> tuple:
+    """Comma-separated numbers; ConfigError on anything else."""
+    try:
+        return tuple(kind(v) for v in text.split(",") if v.strip())
+    except ValueError as exc:
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
 _CONFIG_PARSERS = {
     "problem": str, "method": str, "n_cells": int, "sgh_mode": str,
     "cch_solver": str, "cfl": float, "dt_init": float, "dt_max": float,
-    "dt_growth": float, "t_end": float, "out": str,
-    "snapshot_times": lambda s: tuple(float(v) for v in s.split(",") if v.strip()),
+    "dt_growth": float, "t_end": float, "out": str, "snapshot_times": _number_list,
 }
 
 
@@ -430,8 +409,7 @@ def _overrides_from_args(args) -> dict:
     if getattr(args, "n_cells", None) is not None:
         overrides["n_cells"] = args.n_cells
     if getattr(args, "snapshots", None):
-        overrides["snapshot_times"] = tuple(
-            float(v) for v in args.snapshots.split(",") if v.strip())
+        overrides["snapshot_times"] = _number_list(args.snapshots)
     return overrides
 
 
@@ -450,8 +428,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "converge":
             config = _config_from_sources(args.config, _overrides_from_args(args))
-            n_list = [int(v) for v in args.cells.split(",") if v.strip()]
-            table = run_convergence(config, n_list)
+            table = run_convergence(config, _number_list(args.cells, int))
             text = table.format()
             print(text, end="")
             if config.out:

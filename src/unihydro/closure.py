@@ -129,6 +129,11 @@ def _two_shock_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac):
     return _linear_balance(wl, pl, ul, wr, pr, ur)
 
 
+def _admissible(z, rho, d, k):
+    """One-sided bound z d^2 >= k rho |d|^3 on the quadratic relation."""
+    return z * d * d >= k * rho * np.abs(d) ** 3
+
+
 def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, p_ac):
     """Quadratic nodal force balance with admissibility test.
 
@@ -162,11 +167,8 @@ def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, p_ac):
     u_try = np.where(linear, u_lin, picked)
     solvable = np.where(linear, B != 0.0, disc > 0.0) & np.isfinite(u_try)
 
-    dl = u_try - ul
-    dr = u_try - ur
-    admissible = ((zl * dl * dl >= k * rl * np.abs(dl) ** 3)
-                  & (zr * dr * dr >= k * rr * np.abs(dr) ** 3))
-    accepted = solvable & admissible
+    accepted = (solvable & _admissible(zl, rl, u_try - ul, k)
+                & _admissible(zr, rr, u_try - ur, k))
 
     u_star = np.where(accepted, u_try, u_ac)
     dl = u_star - ul

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import CchState, Mesh1D, SghState
+from .mesh import Mesh1D
 
 __all__ = [
     "BoundaryFlux", "ConservationLedger", "EntropyMonitor",
@@ -35,12 +35,7 @@ class BoundaryFlux:
 
 def totals(mesh: Mesh1D, state) -> tuple[float, float, float]:
     """(mass, momentum, total energy) of a state on its mesh."""
-    mass = float(np.sum(mesh.cell_mass))
-    if isinstance(state, SghState):
-        return mass, state.total_momentum(mesh), state.total_energy(mesh)
-    if isinstance(state, CchState):
-        return mass, state.total_momentum(mesh), state.total_energy(mesh)
-    raise TypeError(f"unknown state type {type(state).__name__}")
+    return float(np.sum(mesh.cell_mass)), state.total_momentum(mesh), state.total_energy(mesh)
 
 
 @dataclass
@@ -69,8 +64,7 @@ class ConservationLedger:
         return ledger
 
     def _update_scales(self, mesh: Mesh1D, state):
-        u = state.node_u if isinstance(state, SghState) else state.u
-        mom = float(np.sum(mesh.cell_mass) * np.max(np.abs(u), initial=0.0))
+        mom = float(np.sum(mesh.cell_mass) * state.max_speed)
         self.momentum_scale = max(self.momentum_scale, mom,
                                   abs(self.impulse_left) + abs(self.impulse_right))
         self.energy_scale = max(self.energy_scale, abs(self.energy),
@@ -107,19 +101,19 @@ class ConservationLedger:
         return abs(self.energy_residual) / max(self.energy_scale, 1e-300)
 
 
-def audit_step(ledger: ConservationLedger, mesh: Mesh1D, state_before, state_after,
-               boundary: BoundaryFlux, dt: float) -> ConservationLedger:
-    """Fold one step into the ledger and record any tolerance violation."""
-    n_after = len(state_after.rho)
-    if n_after != mesh.n_cells:
-        raise ValueError(f"state/mesh shape mismatch: {n_after} vs {mesh.n_cells}")
+def audit_step(ledger: ConservationLedger, mesh: Mesh1D, state,
+               boundary: BoundaryFlux) -> ConservationLedger:
+    """Fold one step's end state into the ledger and record any tolerance
+    violation."""
+    if len(state.rho) != mesh.n_cells:
+        raise ValueError(f"state/mesh shape mismatch: {len(state.rho)} vs {mesh.n_cells}")
     ledger.impulse_left += boundary.impulse_left
     ledger.impulse_right += boundary.impulse_right
     ledger.work_left += boundary.work_left
     ledger.work_right += boundary.work_right
-    ledger.mass, ledger.momentum, ledger.energy = totals(mesh, state_after)
+    ledger.mass, ledger.momentum, ledger.energy = totals(mesh, state)
     ledger.steps += 1
-    ledger._update_scales(mesh, state_after)
+    ledger._update_scales(mesh, state)
     if (ledger.mass_drift != 0.0
             or ledger.momentum_residual_rel > ledger.tolerance
             or ledger.energy_residual_rel > ledger.tolerance):
@@ -160,14 +154,11 @@ def entropy_production_cch(p, u, u_star, p_star_right_side, p_star_left_side):
 class EntropyMonitor:
     """Tracks per-step entropy production and the ln(P tau^gamma) monitor."""
 
-    def __init__(self, gamma: float, capture_history: bool = False):
+    def __init__(self, gamma: float):
         self.gamma = gamma
-        self.capture_history = capture_history
-        self.history: list[np.ndarray] = []
         self.worst_normalized = 0.0
         self.violations = 0
         self.expansion_abs_max = 0.0
-        self.steps = 0
         self.s_initial: np.ndarray | None = None
 
     @staticmethod
@@ -195,9 +186,6 @@ class EntropyMonitor:
             self.expansion_abs_max = max(
                 self.expansion_abs_max,
                 float(np.max(np.abs(production[expansion_mask]))))
-        if self.capture_history:
-            self.history.append(np.array(production, copy=True))
-        self.steps += 1
 
 
 # -- error norms and profile features ------------------------------------------

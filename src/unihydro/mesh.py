@@ -11,12 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import IdealGas
-from .errors import MeshTangled
+from .errors import MeshTangled, SolverFailure
 
-__all__ = [
-    "Mesh1D", "SghState", "CchState",
-    "build", "cell_volume", "characteristic_time", "update_geometry",
-]
+__all__ = ["Mesh1D", "SghState", "CchState", "build", "cell_thermo", "update_geometry"]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -50,10 +47,6 @@ class Mesh1D:
     @property
     def cell_centers(self) -> np.ndarray:
         return 0.5 * (self.node_x[:-1] + self.node_x[1:])
-
-    def density(self) -> np.ndarray:
-        """Cell density from frozen mass and current volume."""
-        return self.cell_mass / self.cell_volumes
 
     def validate(self):
         if np.any(np.diff(self.node_x) <= 0.0):
@@ -94,9 +87,17 @@ class SghState:
     p: np.ndarray       # N
     c: np.ndarray       # N
 
-    def copy(self) -> "SghState":
-        return SghState(self.node_u.copy(), self.rho.copy(), self.eps.copy(),
-                        self.p.copy(), self.c.copy())
+    @property
+    def cell_u(self) -> np.ndarray:
+        return 0.5 * (self.node_u[:-1] + self.node_u[1:])
+
+    @property
+    def max_speed(self) -> float:
+        return float(np.max(np.abs(self.node_u), initial=0.0))
+
+    def velocity_jumps(self) -> np.ndarray:
+        """Per-cell velocity variation used to harden the CFL bound."""
+        return np.abs(self.node_u[1:] - self.node_u[:-1])
 
     def total_momentum(self, mesh: Mesh1D) -> float:
         return float(np.sum(mesh.node_mass * self.node_u))
@@ -118,9 +119,21 @@ class CchState:
     p: np.ndarray
     c: np.ndarray
 
-    def copy(self) -> "CchState":
-        return CchState(self.rho.copy(), self.u.copy(), self.E.copy(),
-                        self.eps.copy(), self.p.copy(), self.c.copy())
+    @property
+    def cell_u(self) -> np.ndarray:
+        return self.u
+
+    @property
+    def max_speed(self) -> float:
+        return float(np.max(np.abs(self.u), initial=0.0))
+
+    def velocity_jumps(self) -> np.ndarray:
+        """Largest velocity jump to either neighbor, per cell."""
+        d = np.abs(np.diff(self.u))
+        du = np.zeros_like(self.u)
+        du[:-1] = d
+        du[1:] = np.maximum(du[1:], d)
+        return du
 
     def total_momentum(self, mesh: Mesh1D) -> float:
         return float(np.sum(mesh.cell_mass * self.u))
@@ -166,15 +179,7 @@ def build(domain, n_cells: int, init, kind: str, gas: IdealGas):
     if np.any(p_c < 0.0):
         raise ValueError("initial pressure must be nonnegative")
 
-    m_left = rho_c * (centers - node_x[:-1])
-    m_right = rho_c * (node_x[1:] - centers)
-    cell_mass = m_left + m_right
-    node_mass = np.empty(n_cells + 1)
-    node_mass[0] = m_left[0]
-    node_mass[-1] = m_right[-1]
-    node_mass[1:-1] = m_right[:-1] + m_left[1:]
-    mesh = Mesh1D(node_x, _frozen(cell_mass), _frozen(node_mass),
-                  _frozen(m_left), _frozen(m_right))
+    mesh = Mesh1D.from_nodes(node_x, rho_c)
     mesh.validate()
 
     eps_c = np.asarray(gas.internal_energy(rho_c, p_c), dtype=float)
@@ -191,25 +196,15 @@ def build(domain, n_cells: int, init, kind: str, gas: IdealGas):
     return mesh, state
 
 
-def cell_volume(mesh: Mesh1D, j: int) -> float:
-    """Volume of cell j; fatal on a degenerate or inverted cell."""
-    if not 0 <= j < mesh.n_cells:
-        raise IndexError(f"cell index {j} out of range")
-    v = mesh.node_x[j + 1] - mesh.node_x[j]
-    if v <= 0.0:
-        raise MeshTangled("tangled mesh", cell=j)
-    return float(v)
-
-
-def characteristic_time(length, sound_speed):
-    """Sound-crossing time l/c of a cell."""
-    length = np.asarray(length, dtype=float)
-    sound_speed = np.asarray(sound_speed, dtype=float)
-    if np.any(length <= 0.0):
-        raise ValueError("characteristic length must be positive")
-    if np.any(sound_speed <= 0.0):
-        raise ValueError("sound speed must be positive")
-    return length / sound_speed
+def cell_thermo(gas: IdealGas, rho, eps):
+    """(p, c) of updated cells; a non-finite or nonpositive eps is fatal."""
+    if not np.all(np.isfinite(eps)):
+        raise SolverFailure("non-finite internal energy",
+                            cell=int(np.argmin(np.isfinite(eps))))
+    if np.any(eps <= 0.0):
+        raise SolverFailure("nonpositive internal energy", cell=int(np.argmin(eps)))
+    p = np.asarray(gas.pressure(rho, eps))
+    return p, np.asarray(gas.sound_speed(rho, p))
 
 
 def update_geometry(mesh: Mesh1D, u_star: np.ndarray, dt: float) -> Mesh1D:

@@ -16,7 +16,6 @@ from . import closure
 from . import mesh as mesh_mod
 from .diagnostics import BoundaryFlux, entropy_production_sgh
 from .eos import IdealGas
-from .errors import SolverFailure
 from .mesh import Mesh1D, SghState
 from .problems import BoundaryCondition
 
@@ -28,11 +27,12 @@ MODES = ("predictor_only", "predictor_corrector")
 
 @dataclass(frozen=True)
 class SghStepReport:
-    dt_used: float
     du: np.ndarray                  # velocity jumps the star pressures saw
     p_star: np.ndarray              # per-cell star pressure (last pass)
     u_star: np.ndarray              # per-node time-centered velocity (last pass)
     entropy_production: np.ndarray  # summed over passes
+    entropy_scale: np.ndarray       # P^n |du|
+    expansion: np.ndarray | None    # du >= 0 after the predictor, None after the corrector
     boundary: BoundaryFlux
 
 
@@ -127,17 +127,7 @@ def _advance(base_state: SghState, base_mesh: Mesh1D, work_state: SghState,
     eps_new = base_state.eps - (dt / base_mesh.cell_mass) * p_energy * (u_star[1:] - u_star[:-1])
     new_mesh = mesh_mod.update_geometry(base_mesh, u_star, dt)
     rho_new = base_mesh.cell_mass / new_mesh.cell_volumes
-
-    if not np.all(np.isfinite(eps_new)):
-        raise SolverFailure("non-finite internal energy",
-                            cell=int(np.argmin(np.isfinite(eps_new))))
-    if np.any(eps_new <= 0.0):
-        raise SolverFailure("nonpositive internal energy",
-                            cell=int(np.argmin(eps_new)))
-
-    p_new = np.asarray(gas.pressure(rho_new, eps_new))
-    c_new = np.asarray(gas.sound_speed(rho_new, p_new))
-    new_state = SghState(u_new, rho_new, eps_new, p_new, c_new)
+    new_state = SghState(u_new, rho_new, eps_new, *mesh_mod.cell_thermo(gas, rho_new, eps_new))
 
     il, wl = _side_flux(bc_left, +1.0, dt, p_bnd_l, p_star[0], u_star[0],
                         base_mesh.node_mass[0], u_n[0], u_new[0])
@@ -154,7 +144,8 @@ def predictor_step(state: SghState, mesh: Mesh1D, gas: IdealGas, dt: float,
     time-centered velocities."""
     new_mesh, new_state, p_star, u_star, du, production, flux = _advance(
         state, mesh, state, gas, dt, bc_left, bc_right)
-    report = SghStepReport(dt, du, p_star, u_star, production, flux)
+    report = SghStepReport(du, p_star, u_star, production, state.p * np.abs(du),
+                           du >= 0.0, flux)
     return new_mesh, new_state, report
 
 
@@ -167,7 +158,8 @@ def corrector_step(state_n: SghState, mesh_n: Mesh1D, provisional: SghState,
         state_n, mesh_n, provisional, gas, dt, bc_left, bc_right,
         p_energy_extra=predictor_report.p_star)
     production = predictor_report.entropy_production + production2
-    report = SghStepReport(dt, predictor_report.du, p_star2, u_star2, production, flux)
+    report = SghStepReport(predictor_report.du, p_star2, u_star2, production,
+                           predictor_report.entropy_scale, None, flux)
     return new_mesh, new_state, report
 
 

@@ -126,13 +126,6 @@ class TestSolveAllNodes:
         with pytest.raises(ValueError):
             cch.solve_all_nodes(state, GAS, TRANSMISSIVE, TRANSMISSIVE, solver="hll")
 
-    def test_nodal_field_accessor(self):
-        state = make_state([1.0, 0.125], [0.0, 0.0], [1.0, 0.1])
-        nodal = cch.solve_all_nodes(state, GAS, TRANSMISSIVE, TRANSMISSIVE)
-        sol = nodal.solution(1)
-        assert sol.order in ("acoustic", "quadratic")
-        assert sol.u_star == nodal.u_star[1]
-
 
 class TestStep:
     def test_uniform_flow_translates_only(self):
@@ -162,7 +155,7 @@ class TestStep:
         dt = 1e-4
         new_mesh, new_state, report = cch.step(state, mesh, GAS, dt,
                                                problem.bc_left, problem.bc_right)
-        audit_step(ledger, new_mesh, state, new_state, report.boundary, dt)
+        audit_step(ledger, new_mesh, new_state, report.boundary)
         assert ledger.mass_drift == 0.0
         assert ledger.momentum_residual_rel <= 1e-12
         assert ledger.energy_residual_rel <= 1e-12

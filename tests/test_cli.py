@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import unihydro as uh
-from unihydro import cli
+from unihydro import cch, cli, sgh
+from unihydro.diagnostics import BoundaryFlux
 from unihydro.errors import ConfigError
 from unihydro.mesh import Mesh1D, SghState
 from unihydro.eos import IdealGas
@@ -70,6 +71,42 @@ class TestRunConfig:
         path.write_text(uh.sod().to_json(), encoding="utf-8")
         problem = cli.resolve_problem(f"@{path}")
         assert problem == uh.sod()
+
+
+class TestStepContract:
+    """Both steppers report the entropy scale and the expansion mask that the
+    run loop hands to the entropy monitor."""
+
+    @pytest.mark.parametrize("step, option", [
+        (sgh.step, {"mode": "predictor_only"}),
+        (sgh.step, {"mode": "predictor_corrector"}),
+        (cch.step, {"solver": "quadratic"}),
+        (cch.step, {"solver": "acoustic"}),
+    ], ids=["sgh-predictor", "sgh-predictor-corrector", "cch-quadratic", "cch-acoustic"])
+    def test_entropy_scale_and_expansion(self, step, option):
+        problem = uh.lax()
+        gas = IdealGas(problem.gamma)
+        mesh, state = uh.build_initial(problem, 40, "sgh" if step is sgh.step else "cch")
+        for _ in range(5):
+            before = state
+            mesh, state, report = step(before, mesh, gas, 1e-3,
+                                       problem.bc_left, problem.bc_right, **option)
+        if step is sgh.step:
+            du = before.node_u[1:] - before.node_u[:-1]
+            scale = before.p * np.abs(du)
+            expansion = du >= 0.0 if option["mode"] == "predictor_only" else None
+        else:
+            us = report.nodal.u_star
+            scale = before.p * (np.abs(before.u - us[:-1]) + np.abs(us[1:] - before.u))
+            expansion = None
+        assert report.entropy_scale.tobytes() == scale.tobytes()
+        assert report.entropy_production.shape == scale.shape
+        assert isinstance(report.boundary, BoundaryFlux)
+        if expansion is None:
+            assert report.expansion is None
+        else:
+            assert 0 < np.count_nonzero(expansion) < len(expansion)
+            np.testing.assert_array_equal(report.expansion, expansion)
 
 
 class TestRun:
@@ -194,6 +231,17 @@ class TestCommandLine:
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["run", "--problem", "sod", "--cfl", "5.0"]) == 3
         assert cli.main(["run", "--problem", "nosuch"]) == 3
+
+    @pytest.mark.parametrize("command, flag, value, named", [
+        ("run", "--dt-init", "-1", "dt_init"),
+        ("run", "--dt-init", "0", "dt_init"),
+        ("run", "--dt-max", "-1", "dt_max"),
+        ("run", "--dt-growth", "nan", "dt_growth"),
+        ("converge", "--cells", "a,b", "'a,b'"),
+    ])
+    def test_bad_option_is_config_error(self, capsys, command, flag, value, named):
+        assert cli.main([command, "--problem", "sod", flag, value]) == 3
+        assert named in capsys.readouterr().err
 
     def test_solver_failure_exit_code(self, capsys):
         code = cli.main(["run", "--problem", "sedov", "--method", "cch",

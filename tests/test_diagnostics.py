@@ -67,7 +67,7 @@ class TestLedger:
         other_mesh, _ = uh.build_initial(problem, 12, "sgh")
         ledger = diag.ConservationLedger.open(mesh, state)
         with pytest.raises(ValueError, match="mismatch"):
-            diag.audit_step(ledger, other_mesh, state, state, diag.BoundaryFlux(), 1e-3)
+            diag.audit_step(ledger, other_mesh, state, diag.BoundaryFlux())
 
 
 class TestEntropyProduction:
@@ -168,9 +168,3 @@ class TestEntropyMonitor:
         mon.update(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
         assert mon.violations == 1
         assert mon.worst_normalized == pytest.approx(-1.0)
-
-    def test_history_capture(self):
-        mon = diag.EntropyMonitor(1.4, capture_history=True)
-        mon.update(np.array([0.5]), np.array([1.0]))
-        mon.update(np.array([0.25]), np.array([1.0]))
-        assert len(mon.history) == 2

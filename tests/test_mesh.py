@@ -6,8 +6,7 @@ import pytest
 import unihydro as uh
 from unihydro.eos import IdealGas
 from unihydro.errors import MeshTangled
-from unihydro.mesh import (Mesh1D, build, cell_volume, characteristic_time,
-                           update_geometry)
+from unihydro.mesh import Mesh1D, build, update_geometry
 
 GAS = IdealGas(1.4)
 
@@ -66,37 +65,6 @@ class TestBuild:
         np.testing.assert_array_equal(state.eps, state.E - 0.5 * state.u ** 2)
 
 
-class TestCellVolume:
-    def test_values(self):
-        assert cell_volume(Mesh1D.from_nodes([0.0, 0.1]), 0) == pytest.approx(0.1)
-        assert cell_volume(Mesh1D.from_nodes([0.2, 0.5]), 0) == pytest.approx(0.3)
-
-    def test_degenerate_cell_is_fatal(self):
-        mesh = Mesh1D.from_nodes([0.0, 0.3, 0.6])
-        frozen = Mesh1D(np.array([0.3, 0.3, 0.6]), mesh.cell_mass, mesh.node_mass,
-                        mesh.subcell_mass_left, mesh.subcell_mass_right)
-        with pytest.raises(MeshTangled, match="tangled mesh"):
-            cell_volume(frozen, 0)
-
-    def test_index_validation(self):
-        with pytest.raises(IndexError):
-            cell_volume(Mesh1D.from_nodes([0.0, 1.0]), 1)
-
-
-class TestCharacteristicTime:
-    def test_values(self):
-        assert characteristic_time(0.1, 1.0) == pytest.approx(0.1)
-        assert characteristic_time(1.0, 2.0) == pytest.approx(0.5)
-        assert characteristic_time(0.04, 1.1832159566199232) == pytest.approx(
-            0.033806170189140665, rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            characteristic_time(0.0, 1.0)
-        with pytest.raises(ValueError):
-            characteristic_time(1.0, 0.0)
-
-
 class TestUpdateGeometry:
     def test_zero_velocity_is_identity(self):
         mesh = Mesh1D.from_nodes(np.linspace(0.0, 1.0, 5))
@@ -110,8 +78,9 @@ class TestUpdateGeometry:
 
     def test_crossing_is_fatal(self):
         mesh = Mesh1D.from_nodes([0.0, 1.0])
-        with pytest.raises(MeshTangled, match="tangling"):
-            update_geometry(mesh, np.array([1.0, -1.0]), 0.6)
+        for dt in (0.6, 0.5):  # crossed nodes, then a zero-width cell
+            with pytest.raises(MeshTangled, match="tangling"):
+                update_geometry(mesh, np.array([1.0, -1.0]), dt)
 
     def test_masses_shared_not_copied(self):
         mesh = Mesh1D.from_nodes(np.linspace(0.0, 1.0, 5))

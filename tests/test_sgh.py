@@ -96,7 +96,7 @@ class TestPredictorStep:
         dt = 1e-4
         new_mesh, new_state, report = sgh.predictor_step(
             state, mesh, GAS, dt, problem.bc_left, problem.bc_right)
-        audit_step(ledger, new_mesh, state, new_state, report.boundary, dt)
+        audit_step(ledger, new_mesh, new_state, report.boundary)
         assert ledger.mass_drift == 0.0
         assert ledger.momentum_residual_rel <= 1e-11
         assert ledger.energy_residual_rel <= 1e-11
@@ -152,7 +152,7 @@ class TestCorrectorStep:
             new_mesh, new_state, report = sgh.step(
                 state, mesh, gas, dt, problem.bc_left, problem.bc_right,
                 mode="predictor_corrector")
-            audit_step(ledger, new_mesh, state, new_state, report.boundary, dt)
+            audit_step(ledger, new_mesh, new_state, report.boundary)
             mesh, state = new_mesh, new_state
         assert ledger.momentum_residual_rel <= 1e-11
 
