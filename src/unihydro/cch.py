@@ -20,15 +20,13 @@ import numpy as np
 
 from . import closure
 from . import mesh as mesh_mod
-from .closure import ACOUSTIC, QUADRATIC
+from .closure import ACOUSTIC, QUADRATIC, SOLVERS
 from .diagnostics import BoundaryFlux, entropy_production_cch
 from .eos import IdealGas
 from .mesh import CchState, Mesh1D
 from .problems import BoundaryCondition
 
 __all__ = ["NodalField", "CchStepReport", "solve_all_nodes", "step"]
-
-SOLVERS = ("acoustic", "quadratic")
 
 
 @dataclass(eq=False)
@@ -66,17 +64,14 @@ def _one_sided_star(rho, c, p, u, u_star, gamma: float, side: str, solver: str):
     nonnegative.
     """
     z = rho * c
-    d = u_star - u
-    sgn = 1.0 if side == "left" else -1.0
-    linear = p + sgn * z * d
+    d = u - u_star if side == "left" else u_star - u   # < 0 compresses the cell
     if solver == "acoustic":
-        return linear, ACOUSTIC
+        return p - z * d, ACOUSTIC
     k = 0.5 * (gamma + 1.0)
-    if closure._admissible(z, rho, d, k):
-        return linear + k * rho * d * d, QUADRATIC
-    if sgn * d > 0.0:
-        return linear + k * rho * d * d, ACOUSTIC
-    return linear, ACOUSTIC
+    accepted = closure._admissible(z, rho, d, k)
+    if accepted or d < 0.0:
+        return closure.star_pressure(p, z, rho, d, k), QUADRATIC if accepted else ACOUSTIC
+    return p - z * d, ACOUSTIC
 
 
 def _boundary_node(bc: BoundaryCondition, rho, c, p, u, gamma: float,
@@ -85,10 +80,9 @@ def _boundary_node(bc: BoundaryCondition, rho, c, p, u, gamma: float,
     if bc.kind == "transmissive":
         # identical ghost state: the star state is the cell state exactly
         return u, p, p, ACOUSTIC
-    if bc.kind == "wall" or bc.kind == "prescribed_velocity":
-        ub = 0.0 if bc.kind == "wall" else float(bc.value)
-        ps, order = _one_sided_star(rho, c, p, u, ub, gamma, side, solver)
-        return ub, ps, ps, order
+    if bc.velocity is not None:
+        ps, order = _one_sided_star(rho, c, p, u, bc.velocity, gamma, side, solver)
+        return bc.velocity, ps, ps, order
     # prescribed pressure: invert the linear one-sided relation for u*
     z = rho * c
     sgn = 1.0 if side == "left" else -1.0
@@ -98,44 +92,18 @@ def _boundary_node(bc: BoundaryCondition, rho, c, p, u, gamma: float,
 
 def solve_all_nodes(state: CchState, gas: IdealGas, bc_left: BoundaryCondition,
                     bc_right: BoundaryCondition, solver: str = "quadratic") -> NodalField:
-    """Star states at every node: force-balance solve inside, boundary rules
-    at the two ends."""
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown nodal solver {solver!r}; expected one of {SOLVERS}")
+    """Star states at every node: ``closure.solve_nodes`` inside, boundary
+    rules at the two ends."""
     n_nodes = len(state.rho) + 1
-    u_star = np.empty(n_nodes)
-    psl = np.empty(n_nodes)
-    psr = np.empty(n_nodes)
-    order = np.zeros(n_nodes, dtype=np.int8)
-
-    rl, cl, pl, ul = state.rho[:-1], state.c[:-1], state.p[:-1], state.u[:-1]
-    rr, cr, pr, ur = state.rho[1:], state.c[1:], state.p[1:], state.u[1:]
-    u_ac, p_ac = closure._acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
-    if solver == "acoustic":
-        u_star[1:-1] = u_ac
-        psl[1:-1] = p_ac
-        psr[1:-1] = p_ac
-    else:
-        u_q, ps_l, ps_r, accepted = closure._quadratic_kernel(
-            rl, cl, pl, ul, rr, cr, pr, ur, gas.gamma, u_ac, p_ac)
-        j = np.flatnonzero(~accepted)
-        if j.size:
-            u_q[j], p_2s = closure._two_shock_kernel(
-                rl[j], cl[j], pl[j], ul[j], rr[j], cr[j], pr[j], ur[j],
-                gas.gamma, u_ac[j])
-            ps_l[j] = p_2s
-            ps_r[j] = p_2s
-        u_star[1:-1] = u_q
-        psl[1:-1] = ps_l
-        psr[1:-1] = ps_r
-        order[1:-1] = np.where(accepted, QUADRATIC, ACOUSTIC)
-
+    u_star, psl, psr = np.empty(n_nodes), np.empty(n_nodes), np.empty(n_nodes)
+    order = np.empty(n_nodes, dtype=np.int8)
+    u_star[1:-1], psl[1:-1], psr[1:-1], order[1:-1] = closure.solve_nodes(
+        state.rho[:-1], state.c[:-1], state.p[:-1], state.u[:-1],
+        state.rho[1:], state.c[1:], state.p[1:], state.u[1:], gas.gamma, solver)
     u_star[0], psl[0], psr[0], order[0] = _boundary_node(
-        bc_left, state.rho[0], state.c[0], state.p[0], state.u[0],
-        gas.gamma, solver, side="left")
+        bc_left, state.rho[0], state.c[0], state.p[0], state.u[0], gas.gamma, solver, "left")
     u_star[-1], psl[-1], psr[-1], order[-1] = _boundary_node(
-        bc_right, state.rho[-1], state.c[-1], state.p[-1], state.u[-1],
-        gas.gamma, solver, side="right")
+        bc_right, state.rho[-1], state.c[-1], state.p[-1], state.u[-1], gas.gamma, solver, "right")
     return NodalField(u_star, psl, psr, order)
 
 

@@ -60,8 +60,8 @@ class RunConfig:
             raise ConfigError(f"dt_max must be > 0, got {self.dt_max}")
         if not self.dt_growth >= 1.0:
             raise ConfigError(f"dt_growth must be >= 1, got {self.dt_growth}")
-        if self.t_end is not None and self.t_end < 0.0:
-            raise ConfigError(f"t_end must be nonnegative, got {self.t_end}")
+        if not (self.t_end is None or 0.0 <= self.t_end < float("inf")):
+            raise ConfigError(f"t_end must be finite and >= 0, got {self.t_end}")
 
 
 @dataclass
@@ -103,7 +103,7 @@ def resolve_problem(problem: str | ProblemSpec) -> ProblemSpec:
                 with open(problem[1:], "r", encoding="utf-8") as fh:
                     return ProblemSpec.from_json(fh.read())
             return problems_mod.by_name(problem)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
     raise ConfigError(f"cannot resolve problem from {problem!r}")
 
@@ -121,14 +121,16 @@ def run(config: RunConfig) -> RunResult:
     """
     problem = resolve_problem(config.problem)
     gas = IdealGas(problem.gamma)
-    mesh, state = problems_mod.build_initial(problem, config.n_cells, config.method)
+    try:
+        mesh, state = problems_mod.build_initial(problem, config.n_cells, config.method)
+    except ValueError as exc:
+        raise ConfigError(f"initial state of {problem.name}: {exc}") from exc
     step = (partial(sgh_mod.step, mode=config.sgh_mode) if config.method == "sgh"
             else partial(cch_mod.step, solver=config.cch_solver))
     t_end = problem.t_end if config.t_end is None else float(config.t_end)
 
     ledger = diag.ConservationLedger.open(mesh, state)
-    monitor = diag.EntropyMonitor(problem.gamma)
-    monitor.open(state)
+    monitor = diag.EntropyMonitor()
     eps_floor, rho_floor = _positivity_floors(state)
     snapshots = sorted(t for t in config.snapshot_times if 0.0 < t < t_end)
 

@@ -6,14 +6,13 @@ into a pressure-velocity relation through the sound-crossing time of a cell.
 For the staggered method this yields a per-cell star pressure with a
 linear-plus-quadratic compression term; for the cell-centered method a nodal
 force balance gives either a linear (acoustic) solve or a quadratic solve with
-an admissibility test.
+an admissibility test. Every one-sided star pressure is ``star_pressure``.
 
-Where the quadratic root is rejected, ``cch_quadratic`` and
-``_quadratic_kernel`` return the supplied fallback. The cell-centered stepper
-supplies the two-shock solve ``_two_shock_kernel``: a linear force balance
-whose impedance on a compressed side is ``rho c + k rho (compression)``, with
-the compression measured from the acoustic guess and k = (gamma+1)/2. This is
-the two-shock impedance of Dukowicz (J. Comput. Phys. 61, 1985), and it keeps
+``solve_nodes`` is the cell-centered nodal solve. Where the quadratic root is
+rejected it uses the two-shock solve ``_two_shock_kernel``: a linear force
+balance whose impedance on a compressed side is ``rho c + k rho (compression)``,
+with the compression measured from the acoustic guess and k = (gamma+1)/2. This
+is the two-shock impedance of Dukowicz (J. Comput. Phys. 61, 1985), and it keeps
 the same ``k rho d^2`` compression term the staggered star pressure carries.
 An expanding side adds no impedance, so without compression the solve is the
 acoustic one.
@@ -21,51 +20,15 @@ acoustic one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .eos import ThermoState
 
-__all__ = [
-    "CellFace", "NodalSolution",
-    "taylor_pressure", "sgh_star_pressure", "cch_acoustic", "cch_quadratic",
-]
+__all__ = ["taylor_pressure", "star_pressure", "sgh_star_pressure", "solve_nodes"]
 
 ACOUSTIC = 0
 QUADRATIC = 1
-
-
-@dataclass(frozen=True)
-class CellFace:
-    """Cell state seen by a node: density, sound speed, pressure, velocity."""
-
-    rho: float
-    c: float
-    p: float
-    u: float
-
-    def __post_init__(self):
-        if not (self.rho > 0.0 and self.c > 0.0):
-            raise ValueError(f"cell face needs rho > 0 and c > 0, got {self}")
-
-
-@dataclass(frozen=True)
-class NodalSolution:
-    """Star velocity and the star pressure as seen from each adjacent cell.
-
-    The two pressures agree exactly for the acoustic solve and up to
-    root-finder error when the quadratic branch is accepted.
-    """
-
-    u_star: float
-    p_star_left: float
-    p_star_right: float
-    order: str  # "acoustic" or "quadratic"
-
-    @property
-    def p_star(self) -> float:
-        return 0.5 * (self.p_star_left + self.p_star_right)
+SOLVERS = ("acoustic", "quadratic")
 
 
 def taylor_pressure(delta_tau, ref: ThermoState, gamma: float):
@@ -80,6 +43,12 @@ def taylor_pressure(delta_tau, ref: ThermoState, gamma: float):
     return ref.p - lin * dtau + quad * dtau * dtau
 
 
+def star_pressure(p, z, rho, d, k):
+    """One-sided pressure-velocity relation p - z d + k rho d^2, where d < 0
+    compresses the cell: d = u* - u left of the node, u - u* right of it."""
+    return p - z * d + k * rho * d * d
+
+
 def sgh_star_pressure(rho, c, p, du, gamma: float):
     """Star pressure of a cell with velocity jump du across it.
 
@@ -91,7 +60,7 @@ def sgh_star_pressure(rho, c, p, du, gamma: float):
     c = np.asarray(c, dtype=float)
     p = np.asarray(p, dtype=float)
     du = np.asarray(du, dtype=float)
-    compressed = p - rho * c * du + 0.5 * (gamma + 1.0) * rho * du * du
+    compressed = star_pressure(p, rho * c, rho, du, 0.5 * (gamma + 1.0))
     return np.where(du < 0.0, compressed, p)
 
 
@@ -134,11 +103,12 @@ def _admissible(z, rho, d, k):
     return z * d * d >= k * rho * np.abs(d) ** 3
 
 
-def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, p_ac):
+def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac):
     """Quadratic nodal force balance with admissibility test.
 
-    Returns (u_star, p_star_left_side, p_star_right_side, accepted_mask);
-    rejected entries carry the supplied fallback values ``u_ac``, ``p_ac``.
+    Returns (u_star, p_star_left_side, p_star_right_side, accepted_mask). The
+    root nearest the acoustic star velocity ``u_ac`` is tried; rejected
+    entries carry no solution and are for the caller to fill.
     """
     k = 0.5 * (gamma + 1.0)
     zl = rl * cl
@@ -171,31 +141,31 @@ def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, p_ac):
                 & _admissible(zr, rr, u_try - ur, k))
 
     u_star = np.where(accepted, u_try, u_ac)
-    dl = u_star - ul
-    dr = u_star - ur
-    ps_left = np.where(accepted, pl - zl * dl + k * rl * dl * dl, p_ac)
-    ps_right = np.where(accepted, pr + zr * dr + k * rr * dr * dr, p_ac)
+    ps_left = star_pressure(pl, zl, rl, u_star - ul, k)
+    ps_right = star_pressure(pr, zr, rr, ur - u_star, k)
     return u_star, ps_left, ps_right, accepted
 
 
-def cch_acoustic(left: CellFace, right: CellFace) -> NodalSolution:
-    """Linear nodal solve: force balance of the one-sided acoustic relations."""
-    u_star, p_star = _acoustic_kernel(left.rho, left.c, left.p, left.u,
-                                      right.rho, right.c, right.p, right.u)
-    return NodalSolution(float(u_star), float(p_star), float(p_star), "acoustic")
+def solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma: float, solver: str = "quadratic"):
+    """Cell-centered nodal solve between left and right cell arrays.
 
-
-def cch_quadratic(left: CellFace, right: CellFace, gamma: float,
-                  fallback: NodalSolution) -> NodalSolution:
-    """Quadratic nodal solve; falls back to the supplied acoustic solution.
-
-    The root closest to the acoustic velocity is kept only when the
-    discriminant is positive and both one-sided admissibility bounds
-    z (u*-u)^2 >= ((gamma+1)/2) rho |u*-u|^3 hold.
+    Returns (u_star, p_star_left_side, p_star_right_side, order), order being
+    ACOUSTIC or QUADRATIC per node. The acoustic solver gives the acoustic
+    values, one pressure array for both sides. The quadratic solver keeps an
+    admissible quadratic root and gives the two-shock solve where it is
+    rejected, with one star pressure on both sides and order ACOUSTIC.
     """
-    u_star, psl, psr, accepted = _quadratic_kernel(
-        left.rho, left.c, left.p, left.u,
-        right.rho, right.c, right.p, right.u,
-        gamma, fallback.u_star, fallback.p_star)
-    order = "quadratic" if bool(accepted) else "acoustic"
-    return NodalSolution(float(u_star), float(psl), float(psr), order)
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown nodal solver {solver!r}; expected one of {SOLVERS}")
+    u_ac, p_ac = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
+    if solver == "acoustic":
+        return u_ac, p_ac, p_ac, np.full(np.shape(u_ac), ACOUSTIC, dtype=np.int8)
+    u_star, ps_l, ps_r, accepted = _quadratic_kernel(
+        rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac)
+    j = np.flatnonzero(~accepted)
+    if j.size:
+        u_star[j], p_2s = _two_shock_kernel(
+            rl[j], cl[j], pl[j], ul[j], rr[j], cr[j], pr[j], ur[j], gamma, u_ac[j])
+        ps_l[j] = p_2s
+        ps_r[j] = p_2s
+    return u_star, ps_l, ps_r, np.where(accepted, QUADRATIC, ACOUSTIC)

@@ -152,25 +152,12 @@ def entropy_production_cch(p, u, u_star, p_star_right_side, p_star_left_side):
 
 
 class EntropyMonitor:
-    """Tracks per-step entropy production and the ln(P tau^gamma) monitor."""
+    """Tracks per-step entropy production against its scale."""
 
-    def __init__(self, gamma: float):
-        self.gamma = gamma
+    def __init__(self):
         self.worst_normalized = 0.0
         self.violations = 0
         self.expansion_abs_max = 0.0
-        self.s_initial: np.ndarray | None = None
-
-    @staticmethod
-    def _monitor(p, rho, gamma):
-        return np.log(p) - gamma * np.log(rho)
-
-    def open(self, state):
-        self.s_initial = self._monitor(state.p, state.rho, self.gamma)
-
-    def monitor_values(self, state) -> np.ndarray:
-        """ln(P tau^gamma), the ideal-gas entropy up to affine constants."""
-        return self._monitor(state.p, state.rho, self.gamma)
 
     def update(self, production: np.ndarray, scale: np.ndarray,
                expansion_mask: np.ndarray | None = None):

@@ -8,8 +8,10 @@ for the rest.
 
 from __future__ import annotations
 
+import ast
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +28,36 @@ __all__ = [
 
 _BC_KINDS = ("transmissive", "wall", "prescribed_velocity", "prescribed_pressure")
 
-# whitelist for density expressions in problem definitions / config files
-_EXPR_NAMES = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs,
-               "sqrt": np.sqrt, "pi": np.pi}
+# the whole grammar of density expressions in problem definitions and spec files
+_EXPR_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "sqrt": np.sqrt}
+_EXPR_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+                   ast.Div: operator.truediv, ast.Pow: operator.pow, ast.UAdd: operator.pos,
+                   ast.USub: operator.neg}
+
+
+def _eval_density(text, x):
+    """Value of a density expression at x, by a walk over its syntax tree that
+    admits only numbers, x, pi, + - * / **, unary signs and one-argument calls
+    of ``_EXPR_FUNCTIONS``; anything else is a ValueError."""
+    def value(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return np.float64(node.value)
+        if isinstance(node, ast.Name) and node.id in ("x", "pi"):
+            return x if node.id == "x" else np.pi
+        if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPERATORS:
+            return _EXPR_OPERATORS[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPERATORS:
+            return _EXPR_OPERATORS[type(node.op)](value(node.operand))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _EXPR_FUNCTIONS and len(node.args) == 1
+                and not node.keywords):
+            return _EXPR_FUNCTIONS[node.func.id](value(node.args[0]))
+        raise ValueError(f"rho_expr may not contain {ast.unparse(node)!r}")
+
+    try:  # the parser reports input nested too deeply as MemoryError
+        return value(ast.parse(text, mode="eval").body)
+    except (SyntaxError, TypeError, OverflowError, RecursionError, MemoryError) as exc:
+        raise ValueError(f"rho_expr {text!r} is not a valid expression: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -44,6 +73,13 @@ class BoundaryCondition:
         if self.kind.startswith("prescribed"):
             if self.value is None or not np.isfinite(self.value):
                 raise ValueError(f"{self.kind} needs a finite value")
+
+    @property
+    def velocity(self) -> float | None:
+        """Prescribed boundary velocity: 0 for a wall, None if not prescribed."""
+        if self.kind == "prescribed_velocity":
+            return float(self.value)
+        return 0.0 if self.kind == "wall" else None
 
     @classmethod
     def transmissive(cls):
@@ -78,12 +114,22 @@ class Region:
     def __post_init__(self):
         if (self.p is None) == (self.e is None):
             raise ValueError("region needs exactly one of p or e")
+        energy = "p" if self.e is None else "e"
+        for name, ok in (("rho", 0.0 < self.rho < np.inf), ("u", abs(self.u) < np.inf),
+                         (energy, 0.0 <= getattr(self, energy) < np.inf)):
+            if not ok:
+                raise ValueError(f"region {name} out of range: {getattr(self, name)}")
+        if self.rho_expr is not None:
+            with np.errstate(all="ignore"):
+                _eval_density(self.rho_expr, np.float64(0.0))
 
     def density(self, x: np.ndarray) -> np.ndarray:
         if self.rho_expr is None:
             return np.full_like(x, self.rho, dtype=float)
-        return np.asarray(eval(self.rho_expr, {"__builtins__": {}},
-                               dict(_EXPR_NAMES, x=x)), dtype=float)
+        rho = np.asarray(_eval_density(self.rho_expr, x), dtype=float)
+        if not np.all((rho > 0.0) & (rho < np.inf)):
+            raise ValueError(f"rho_expr {self.rho_expr!r} gives a density not finite and > 0")
+        return rho
 
     def pressure(self, rho: np.ndarray, gamma: float) -> np.ndarray:
         if self.p is not None:
@@ -106,8 +152,10 @@ class ProblemSpec:
     center_energy: float | None = None   # total energy deposited at the center
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
+        if not 1.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and > 1, got {self.gamma}")
         if self.reference not in ("exact_riemann", "self_converged"):
             raise ValueError(f"unknown reference kind {self.reference!r}")
         lo, hi = self.domain

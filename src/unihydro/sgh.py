@@ -51,15 +51,7 @@ def half_step_velocity(u_n, accel, dt: float):
     return np.asarray(u_n, float) + 0.5 * dt * np.asarray(accel, float)
 
 
-def _is_velocity_bc(bc: BoundaryCondition) -> bool:
-    return bc.kind in ("wall", "prescribed_velocity")
-
-
-def _bc_velocity(bc: BoundaryCondition) -> float:
-    return 0.0 if bc.kind == "wall" else float(bc.value)
-
-
-def _ghost_pressure(bc: BoundaryCondition, cell_p: float, p_star_edge: float) -> float:
+def _ghost_pressure(bc: BoundaryCondition, p_star_edge: float) -> float:
     """Pressure applied at an open boundary node.
 
     Transmissive copies the adjacent cell's star pressure (a ghost cell in the
@@ -69,8 +61,6 @@ def _ghost_pressure(bc: BoundaryCondition, cell_p: float, p_star_edge: float) ->
     bleeding momentum out of inflow regions. Velocity boundaries get a
     placeholder that the prescription overrides.
     """
-    if bc.kind == "transmissive":
-        return float(p_star_edge)
     if bc.kind == "prescribed_pressure":
         return float(bc.value)
     return float(p_star_edge)
@@ -85,7 +75,7 @@ def _side_flux(bc: BoundaryCondition, sign: float, dt: float, p_bnd: float,
     acts as a constraint: it absorbs the adjacent star pressure and whatever
     momentum/energy the prescribed motion itself carries.
     """
-    if _is_velocity_bc(bc):
+    if bc.velocity is not None:
         impulse = sign * dt * p_star_edge + m_edge * (u_new_edge - u_old_edge)
         work = (sign * dt * p_star_edge * u_star_edge
                 + 0.5 * m_edge * (u_new_edge ** 2 - u_old_edge ** 2))
@@ -109,19 +99,17 @@ def _advance(base_state: SghState, base_mesh: Mesh1D, work_state: SghState,
     du = u_work[1:] - u_work[:-1]
     p_star = closure.sgh_star_pressure(work_state.rho, work_state.c,
                                        work_state.p, du, gas.gamma)
-    p_bnd_l = _ghost_pressure(bc_left, work_state.p[0], p_star[0])
-    p_bnd_r = _ghost_pressure(bc_right, work_state.p[-1], p_star[-1])
+    p_bnd_l = _ghost_pressure(bc_left, p_star[0])
+    p_bnd_r = _ghost_pressure(bc_right, p_star[-1])
     alpha = nodal_acceleration(p_star, base_mesh.node_mass, p_bnd_l, p_bnd_r)
 
     u_n = base_state.node_u
     u_star = half_step_velocity(u_n, alpha, dt)
     u_new = 2.0 * u_star - u_n
-    if _is_velocity_bc(bc_left):
-        u_star[0] = _bc_velocity(bc_left)
-        u_new[0] = u_star[0]
-    if _is_velocity_bc(bc_right):
-        u_star[-1] = _bc_velocity(bc_right)
-        u_new[-1] = u_star[-1]
+    if bc_left.velocity is not None:
+        u_star[0] = u_new[0] = bc_left.velocity
+    if bc_right.velocity is not None:
+        u_star[-1] = u_new[-1] = bc_right.velocity
 
     p_energy = p_star if p_energy_extra is None else 0.5 * (p_star + p_energy_extra)
     eps_new = base_state.eps - (dt / base_mesh.cell_mass) * p_energy * (u_star[1:] - u_star[:-1])

@@ -13,7 +13,7 @@ import pytest
 import unihydro as uh
 from unihydro import diagnostics as diag
 from unihydro import problems as problems_mod
-from unihydro.closure import CellFace, cch_acoustic, cch_quadratic, taylor_pressure
+from unihydro.closure import solve_nodes, taylor_pressure
 from unihydro.eos import IdealGas, ThermoState, hugoniot_pressure, isentrope_pressure
 from unihydro.riemann import PrimitiveState, solve as riemann_solve
 
@@ -248,6 +248,13 @@ def test_shock_density_wave_convergence_and_extrema(shu_osher_reference):
           f"N=3200 reference for both methods; {n_ref} post-shock extrema matched")
 
 
+def nodal_star(left, right, solver="quadratic"):
+    """(u*, p* left side, p* right side) of ``solve_nodes`` at one node between
+    two (rho, c, p, u) faces."""
+    arrays = (np.array([v], dtype=float) for v in (*left, *right))
+    return tuple(a[0].item() for a in solve_nodes(*arrays, 1.4, solver)[:3])
+
+
 def test_nodal_solver_consistency():
     rng = np.random.default_rng(2024)
     # 1e4 randomized nearly-uniform face pairs with |du| <= 1e-3 min(c)
@@ -258,42 +265,36 @@ def test_nodal_solver_consistency():
         u0 = rng.uniform(-3.0, 3.0) * c0
         du = np.exp(rng.uniform(np.log(1e-5), np.log(1e-3))) * c0 * rng.choice([-1.0, 1.0])
         eta = 1e-9
-        left = CellFace(rho0 * (1 + eta * rng.normal()), c0 * (1 + eta * rng.normal()),
-                        p0 * (1 + eta * rng.normal()), u0 - 0.5 * du)
-        right = CellFace(rho0 * (1 + eta * rng.normal()), c0 * (1 + eta * rng.normal()),
-                         p0 * (1 + eta * rng.normal()), u0 + 0.5 * du)
-        acoustic = cch_acoustic(left, right)
-        quad = cch_quadratic(left, right, 1.4, acoustic)
-        assert abs(quad.u_star - acoustic.u_star) <= 1e-5 * abs(du)
+        left = (rho0 * (1 + eta * rng.normal()), c0 * (1 + eta * rng.normal()),
+                p0 * (1 + eta * rng.normal()), u0 - 0.5 * du)
+        right = (rho0 * (1 + eta * rng.normal()), c0 * (1 + eta * rng.normal()),
+                 p0 * (1 + eta * rng.normal()), u0 + 0.5 * du)
+        acoustic_u, _, _ = nodal_star(left, right, "acoustic")
+        quad_u, _, _ = nodal_star(left, right)
+        assert abs(quad_u - acoustic_u) <= 1e-5 * abs(du)
 
     # Galilean shift and swap symmetry at the stated tolerances
     for _ in range(1000):
         def face():
             rho = np.exp(rng.uniform(np.log(0.1), np.log(10.0)))
             c = np.exp(rng.uniform(np.log(0.1), np.log(10.0)))
-            return CellFace(rho, c, rho * c * c / 1.4, 0.2 * c * rng.normal())
+            return (rho, c, rho * c * c / 1.4, 0.2 * c * rng.normal())
         left, right = face(), face()
-        base = cch_quadratic(left, right, 1.4, cch_acoustic(left, right))
+        base_u, base_pl, base_pr = nodal_star(left, right)
         s = rng.uniform(-5.0, 5.0)
-        shifted = cch_quadratic(
-            CellFace(left.rho, left.c, left.p, left.u + s),
-            CellFace(right.rho, right.c, right.p, right.u + s),
-            1.4, cch_acoustic(CellFace(left.rho, left.c, left.p, left.u + s),
-                              CellFace(right.rho, right.c, right.p, right.u + s)))
-        scale = max(1.0, abs(base.u_star), abs(s))
-        assert abs(shifted.u_star - (base.u_star + s)) <= 1e-9 * scale
-        p_scale = max(1.0, abs(base.p_star_left), abs(base.p_star_right))
-        assert abs(shifted.p_star_left - base.p_star_left) <= 1e-9 * p_scale
-        assert abs(shifted.p_star_right - base.p_star_right) <= 1e-9 * p_scale
+        shifted_u, shifted_pl, shifted_pr = nodal_star(
+            (*left[:3], left[3] + s), (*right[:3], right[3] + s))
+        scale = max(1.0, abs(base_u), abs(s))
+        assert abs(shifted_u - (base_u + s)) <= 1e-9 * scale
+        p_scale = max(1.0, abs(base_pl), abs(base_pr))
+        assert abs(shifted_pl - base_pl) <= 1e-9 * p_scale
+        assert abs(shifted_pr - base_pr) <= 1e-9 * p_scale
 
-        mirrored = cch_quadratic(
-            CellFace(right.rho, right.c, right.p, -right.u),
-            CellFace(left.rho, left.c, left.p, -left.u),
-            1.4, cch_acoustic(CellFace(right.rho, right.c, right.p, -right.u),
-                              CellFace(left.rho, left.c, left.p, -left.u)))
-        assert abs(mirrored.u_star + base.u_star) <= 1e-9 * max(1.0, abs(base.u_star))
-        assert abs(mirrored.p_star_left - base.p_star_right) <= 1e-9 * p_scale
-        assert abs(mirrored.p_star_right - base.p_star_left) <= 1e-9 * p_scale
+        mirrored_u, mirrored_pl, mirrored_pr = nodal_star(
+            (*right[:3], -right[3]), (*left[:3], -left[3]))
+        assert abs(mirrored_u + base_u) <= 1e-9 * max(1.0, abs(base_u))
+        assert abs(mirrored_pl - base_pr) <= 1e-9 * p_scale
+        assert abs(mirrored_pr - base_pl) <= 1e-9 * p_scale
     print("\nACCEPTANCE nodal-solver-consistency: PASS - 10^4 near-uniform pairs "
           "within 1e-5 |du|; Galilean and swap symmetries within 1e-9")
 

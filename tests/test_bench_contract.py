@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
@@ -34,3 +35,28 @@ def test_tracer_target_resolves(module, attr):
 ])
 def test_workload_helper_exists(module, attr):
     assert callable(getattr(importlib.import_module(f"unihydro.{module}"), attr))
+
+
+def test_quadratic_kernel_counter_contract(monkeypatch):
+    """The tracer counts attempted nodes from ``args[0]`` and accepted ones from
+    the boolean mask at index 3 of ``closure._quadratic_kernel``, patched on the
+    ``closure`` module; ``cch.solve_all_nodes`` must reach the kernel there."""
+    from unihydro import cch, closure, problems
+    from unihydro.eos import IdealGas
+
+    kernel = closure._quadratic_kernel
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = kernel(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(closure, "_quadratic_kernel", recording)
+    problem = problems.by_name("sod")
+    _, state = problems.build_initial(problem, 10, "cch")
+    cch.solve_all_nodes(state, IdealGas(problem.gamma), problem.bc_left, problem.bc_right)
+    (args, result), = calls
+    mask = result[3]
+    assert mask.dtype == np.bool_
+    assert mask.shape == np.shape(args[0]) == (9,)

@@ -1,6 +1,7 @@
 """Driver tests: time-step control, run loop behavior, output files,
 config handling, determinism, and exit codes."""
 
+import json
 import os
 
 import numpy as np
@@ -237,10 +238,26 @@ class TestCommandLine:
         ("run", "--dt-init", "0", "dt_init"),
         ("run", "--dt-max", "-1", "dt_max"),
         ("run", "--dt-growth", "nan", "dt_growth"),
+        ("run", "--t-end", "nan", "t_end"),
+        ("run", "--t-end", "inf", "t_end"),
         ("converge", "--cells", "a,b", "'a,b'"),
     ])
     def test_bad_option_is_config_error(self, capsys, command, flag, value, named):
         assert cli.main([command, "--problem", "sod", flag, value]) == 3
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda spec: spec["regions"][0].update(bogus=1.0), "bogus"),
+        (lambda spec: spec.update(gamma=1.0), "gamma"),
+        (lambda spec: spec["regions"][1].update(rho=-0.125), "rho"),
+        (lambda spec: spec["regions"][0].update(rho_expr="x - 1"), "rho_expr"),
+    ], ids=["unknown_region_key", "gamma_one", "negative_density", "negative_density_expr"])
+    def test_bad_spec_file_is_config_error(self, tmp_path, capsys, edit, named):
+        spec = uh.sod().to_dict()
+        edit(spec)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert cli.main(["run", "--problem", f"@{path}", "--cells", "10"]) == 3
         assert named in capsys.readouterr().err
 
     def test_solver_failure_exit_code(self, capsys):

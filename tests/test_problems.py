@@ -181,6 +181,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             Region(0.0, 1.0, 1.0, 0.0, p=1.0, e=1.0)
 
+    @pytest.mark.parametrize("expr", [
+        "().__class__.__base__.__subclasses__().__len__()",
+        "x.real",
+        "__import__('os')",
+        "eval('1')",
+        "sin(x, x)",
+        "sqrt(x=1.0)",
+        "[x][0]",
+        "x[0]",
+        "(lambda: 1)()",
+        "lambda: x",
+        "y + 1",
+        "'1'",
+        "1 +",
+    ])
+    def test_density_expression_rejected(self, expr):
+        from unihydro.problems import Region
+        with pytest.raises(ValueError, match="rho_expr"):
+            Region(0.0, 1.0, 1.0, 0.0, p=1.0, rho_expr=expr)
+
+    def test_density_expression_grammar(self):
+        from unihydro.problems import Region
+        region = Region(0.0, 1.0, 1.0, 0.0, p=1.0,
+                        rho_expr="2 + sin(pi*x)**2 - -abs(cos(x))/exp(+x) * sqrt(x)")
+        x = np.linspace(0.1, 0.9, 5)
+        expected = 2 + np.sin(np.pi * x) ** 2 - -np.abs(np.cos(x)) / np.exp(+x) * np.sqrt(x)
+        np.testing.assert_array_equal(region.density(x), expected)
+
     def test_bc_validation(self):
         with pytest.raises(ValueError):
             BoundaryCondition("nosuch")
