@@ -68,7 +68,7 @@ def _one_sided_star(rho, c, p, u, u_star, gamma: float, side: str, solver: str):
     if solver == "acoustic":
         return p - z * d, ACOUSTIC
     k = 0.5 * (gamma + 1.0)
-    accepted = closure._admissible(z, rho, d, k)
+    accepted = closure._admissible(c, d, k)
     if accepted or d < 0.0:
         return closure.star_pressure(p, z, rho, d, k), QUADRATIC if accepted else ACOUSTIC
     return p - z * d, ACOUSTIC

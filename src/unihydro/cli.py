@@ -5,6 +5,7 @@ point (``run``, ``converge``, ``reference`` subcommands)."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time as _time
 from dataclasses import dataclass, field, replace
@@ -186,26 +187,29 @@ def _run_stem(config: RunConfig, problem: ProblemSpec) -> str:
 
 
 def _write_outputs(config: RunConfig, problem: ProblemSpec, mesh, state, tag=""):
-    import os
-
     os.makedirs(config.out, exist_ok=True)
     stem = os.path.join(config.out, _run_stem(config, problem) + tag)
     u_cell = state.cell_u
     e_total = state.E if isinstance(state, CchState) else state.eps + 0.5 * u_cell ** 2
     with open(stem + ".csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,rho,u,p,eps,e_total\n")
-        for row in zip(mesh.cell_centers, state.rho, u_cell, state.p, state.eps, e_total):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_rows(fh, (mesh.cell_centers, state.rho, u_cell, state.p, state.eps, e_total))
     if isinstance(state, SghState):
         with open(stem + ".nodes", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x,u\n")
-            for row in zip(mesh.node_x, state.node_u):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            _write_rows(fh, (mesh.node_x, state.node_u))
+
+
+def _write_rows(fh, columns, chunk: int = 1024):
+    """One comma-separated row of ``%.17g`` values per index of the equal-length
+    columns, formatted ``chunk`` rows at a time to bound the memory held."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), chunk):
+        block = zip(*(c[start:start + chunk].tolist() for c in columns))
+        fh.write("".join([row % values for values in block]))
 
 
 def _write_summary(config: RunConfig, result: RunResult):
-    import os
-
     stem = os.path.join(config.out, _run_stem(config, result.problem))
     led = result.ledger
     lines = {
@@ -434,7 +438,6 @@ def main(argv=None) -> int:
             text = table.format()
             print(text, end="")
             if config.out:
-                import os
                 os.makedirs(config.out, exist_ok=True)
                 path = os.path.join(config.out,
                                     f"{table.problem}_{table.method}_convergence.csv")
@@ -447,8 +450,7 @@ def main(argv=None) -> int:
         ref = problems_mod.sample_reference(problem, x, args.t)
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x,rho,u,p,eps\n")
-            for row in zip(x, ref["rho"], ref["u"], ref["p"], ref["eps"]):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            _write_rows(fh, (x, ref["rho"], ref["u"], ref["p"], ref["eps"]))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -39,7 +39,7 @@ def taylor_pressure(delta_tau, ref: ThermoState, gamma: float):
     dtau = np.asarray(delta_tau, dtype=float)
     rho0 = ref.rho
     lin = rho0 * rho0 * ref.c * ref.c
-    quad = 0.5 * (gamma + 1.0) * rho0 ** 3 * ref.c * ref.c
+    quad = 0.5 * (gamma + 1.0) * rho0 * rho0 * rho0 * ref.c * ref.c
     return ref.p - lin * dtau + quad * dtau * dtau
 
 
@@ -98,52 +98,46 @@ def _two_shock_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac):
     return _linear_balance(wl, pl, ul, wr, pr, ur)
 
 
-def _admissible(z, rho, d, k):
-    """One-sided bound z d^2 >= k rho |d|^3 on the quadratic relation."""
-    return z * d * d >= k * rho * np.abs(d) ** 3
+def _admissible(c, d, k):
+    """One-sided bound c >= k |d|: z d^2 >= k rho |d|^3 over rho d^2 (both hold at d = 0)."""
+    return c >= k * np.abs(d)
 
 
 def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac):
-    """Quadratic nodal force balance with admissibility test.
+    """Quadratic nodal force balance A u^2 + B u + C = 0 with admissibility test.
 
-    Returns (u_star, p_star_left_side, p_star_right_side, accepted_mask). The
-    root nearest the acoustic star velocity ``u_ac`` is tried; rejected
-    entries carry no solution and are for the caller to fill.
+    Returns (u_star, p_star_left_side, p_star_right_side, accepted_mask). The root
+    nearest the acoustic star velocity ``u_ac`` is tried (the one root where |A| is
+    negligible); a rejected node carries ``u_ac`` and is for the caller to fill.
     """
     k = 0.5 * (gamma + 1.0)
     zl = rl * cl
     zr = rr * cr
+    mom_l = rl * ul
+    mom_r = rr * ur
     A = k * (rl - rr)
-    B = -((gamma + 1.0) * (rl * ul - rr * ur) + zl + zr)
-    C = k * (rl * ul * ul - rr * ur * ur) + (pl - pr) + zl * ul + zr * ur
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
+    neg_b = (gamma + 1.0) * (mom_l - mom_r) + zl + zr
+    C = k * (mom_l * ul - mom_r * ur) + (pl - pr) + zl * ul + zr * ur
+    if not (np.isfinite(A).all() and np.isfinite(neg_b).all() and np.isfinite(C).all()):
         raise FloatingPointError("non-finite nodal force-balance coefficients")
 
-    tol_a = 1e-12 * k * np.maximum(rl, rr)
-    linear = np.abs(A) < tol_a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = B * B - 4.0 * A * C
-        sq = np.sqrt(np.where(disc > 0.0, disc, 0.0))
-        # numerically stable quadratic roots
-        q = -0.5 * (B + np.where(B >= 0.0, 1.0, -1.0) * sq)
-        safe_a = np.where(A != 0.0, A, 1.0)
-        safe_q = np.where(q != 0.0, q, 1.0)
-        root_a = np.where(A != 0.0, q / safe_a, np.inf)
-        root_b = np.where(q != 0.0, C / safe_q, np.inf)
-        safe_b = np.where(B != 0.0, B, 1.0)
-        u_lin = np.where(B != 0.0, -C / safe_b, np.nan)
-
-    picked = np.where(np.abs(root_a - u_ac) <= np.abs(root_b - u_ac), root_a, root_b)
-    u_try = np.where(linear, u_lin, picked)
-    solvable = np.where(linear, B != 0.0, disc > 0.0) & np.isfinite(u_try)
-
-    accepted = (solvable & _admissible(zl, rl, u_try - ul, k)
-                & _admissible(zr, rr, u_try - ur, k))
-
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        disc = neg_b * neg_b - 4.0 * A * C
+        # stable roots q/A, C/q: q = -(B + sign(B) sqrt(disc))/2, sign(+-0) = +1
+        q = 0.5 * (neg_b - np.copysign(np.sqrt(disc), 0.0 - neg_b))
+        root_a = q / A
+        root_b = C / q
+        u_try = np.where(np.abs(root_a - u_ac) <= np.abs(root_b - u_ac), root_a, root_b)
+        accepted = disc > 0.0
+        linear = np.flatnonzero(np.abs(A) < 1e-12 * k * np.maximum(rl, rr))
+        if linear.size:
+            u_try[linear] = C[linear] / neg_b[linear]
+            accepted[linear] = True
+        # an admissible jump is finite, so this also rejects non-finite roots
+        accepted &= _admissible(cl, u_try - ul, k) & _admissible(cr, u_try - ur, k)
     u_star = np.where(accepted, u_try, u_ac)
-    ps_left = star_pressure(pl, zl, rl, u_star - ul, k)
-    ps_right = star_pressure(pr, zr, rr, ur - u_star, k)
-    return u_star, ps_left, ps_right, accepted
+    return (u_star, star_pressure(pl, zl, rl, u_star - ul, k),
+            star_pressure(pr, zr, rr, ur - u_star, k), accepted)
 
 
 def solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma: float, solver: str = "quadratic"):
@@ -166,6 +160,5 @@ def solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma: float, solver: str = "qua
     if j.size:
         u_star[j], p_2s = _two_shock_kernel(
             rl[j], cl[j], pl[j], ul[j], rr[j], cr[j], pr[j], ur[j], gamma, u_ac[j])
-        ps_l[j] = p_2s
-        ps_r[j] = p_2s
-    return u_star, ps_l, ps_r, np.where(accepted, QUADRATIC, ACOUSTIC)
+        ps_l[j] = ps_r[j] = p_2s
+    return u_star, ps_l, ps_r, accepted.astype(np.int8)  # QUADRATIC = 1, ACOUSTIC = 0

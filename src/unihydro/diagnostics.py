@@ -165,9 +165,8 @@ class EntropyMonitor:
         floor = -ENTROPY_TOL * scale
         bad = production < floor
         self.violations += int(np.count_nonzero(bad))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            normalized = np.where(scale > 0.0, production / np.where(scale > 0.0, scale, 1.0), 0.0)
-        worst = float(np.min(normalized, initial=0.0))
+        negative = (production < 0.0) & (scale > 0.0)
+        worst = float(np.min(production[negative] / scale[negative], initial=0.0))
         self.worst_normalized = min(self.worst_normalized, worst)
         if expansion_mask is not None and np.any(expansion_mask):
             self.expansion_abs_max = max(

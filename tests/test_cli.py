@@ -1,8 +1,11 @@
 """Driver tests: time-step control, run loop behavior, output files,
 config handling, determinism, and exit codes."""
 
+import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,6 +184,26 @@ class TestDeterminism:
         assert a[2] == b[2]
 
 
+class TestWriteRows:
+    def test_bytes_match_per_value_writer(self):
+        rng = np.random.default_rng(5)
+        n = 2 * 1024 + 7   # two full chunks and a partial one
+        special = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, -1e-300, np.inf, -np.inf, np.nan])
+        columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(3)]
+        for i, col in enumerate(columns):
+            col[i::len(special)][:len(special)] = special
+        columns.append(np.linspace(0.0, 1.0, n))
+
+        expected = io.StringIO()
+        for row in zip(*columns):   # the writer it replaced: one value at a time
+            expected.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        got = io.StringIO()
+        cli._write_rows(got, columns)
+        assert got.getvalue() == expected.getvalue()
+        assert got.getvalue().count("\n") == n
+        assert "-0," in got.getvalue() and "4.9406564584124654e-324" in got.getvalue()
+
+
 class TestConvergenceRunner:
     def test_sod_table(self):
         cfg = uh.RunConfig(problem="sod", method="sgh")
@@ -228,6 +251,19 @@ class TestCommandLine:
                          "--out", str(tmp_path / "o")])
         assert code == 0
         assert "sod cch N=20" in capsys.readouterr().out
+
+    def test_python_m_entry_point(self):
+        src = os.path.dirname(os.path.dirname(uh.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        command = [sys.executable, "-m", "unihydro", "run", "--problem", "sod", "--cells", "10"]
+        ok = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        assert ok.returncode == 0, ok.stderr
+        assert ok.stdout.startswith("sod sgh N=10: ")
+        bad = subprocess.run(command + ["--cfl", "2"], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert bad.returncode == 3
+        assert "cfl" in bad.stderr
 
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["run", "--problem", "sod", "--cfl", "5.0"]) == 3

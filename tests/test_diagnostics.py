@@ -170,3 +170,12 @@ class TestEntropyMonitor:
         mon.update(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
         assert mon.violations == 1
         assert mon.worst_normalized == pytest.approx(-1.0)
+        # a zero-scale cell counts as a violation but is not normalized, and
+        # positive production (here over a zero scale) never lowers the worst
+        mon = diag.EntropyMonitor()
+        mon.update(np.array([2.0, -3.0, -1.0, -0.5, 0.0]),
+                   np.array([0.0, 0.0, 4.0, 1.0, 0.0]))
+        assert mon.violations == 3
+        assert mon.worst_normalized == -0.5
+        mon.update(np.array([1.0, -0.0]), np.array([0.0, 2.0]))
+        assert mon.worst_normalized == -0.5
