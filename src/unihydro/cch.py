@@ -109,25 +109,27 @@ def solve_all_nodes(state: CchState, gas: IdealGas, bc_left: BoundaryCondition,
 
 def step(state: CchState, mesh: Mesh1D, gas: IdealGas, dt: float,
          bc_left: BoundaryCondition, bc_right: BoundaryCondition,
-         solver: str = "quadratic"):
-    """One forward-Euler step of the conservative update."""
+         solver: str = "quadratic", floors=(0.0, 0.0)):
+    """One forward-Euler step of the conservative update; ``floors`` as in ``sgh.step``."""
     nodal = solve_all_nodes(state, gas, bc_left, bc_right, solver)
     ps = nodal.p_star
     us = nodal.u_star
     m = mesh.cell_mass
+    dt_m = dt / m
 
-    u_new = state.u + (dt / m) * (ps[:-1] - ps[1:])
-    E_new = state.E + (dt / m) * (ps[:-1] * us[:-1] - ps[1:] * us[1:])
+    u_new = state.u + dt_m * (ps[:-1] - ps[1:])
+    E_new = state.E + dt_m * (ps[:-1] * us[:-1] - ps[1:] * us[1:])
     new_mesh = mesh_mod.update_geometry(mesh, us, dt)
     rho_new = m / new_mesh.cell_volumes
     eps_new = E_new - 0.5 * u_new ** 2
     new_state = CchState(rho_new, u_new, E_new, eps_new,
-                         *mesh_mod.cell_thermo(gas, rho_new, eps_new))
+                         *mesh_mod.cell_thermo(gas, rho_new, eps_new, floors))
 
-    production = entropy_production_cch(state.p, state.u, us,
+    d_left, d_right = state.u - us[:-1], us[1:] - state.u
+    production = entropy_production_cch(state.p, d_left, d_right,
                                         nodal.p_star_right, nodal.p_star_left)
     flux = BoundaryFlux(impulse_left=dt * ps[0], impulse_right=-dt * ps[-1],
                         work_left=dt * ps[0] * us[0], work_right=-dt * ps[-1] * us[-1])
-    scale = state.p * (np.abs(state.u - us[:-1]) + np.abs(us[1:] - state.u))
+    scale = state.p * (np.abs(d_left) + np.abs(d_right))
     report = CchStepReport(nodal, production, scale, flux)
     return new_mesh, new_state, report

@@ -64,15 +64,15 @@ def sgh_star_pressure(rho, c, p, du, gamma: float):
     return np.where(du < 0.0, compressed, p)
 
 
-def _linear_balance(zl, pl, ul, zr, pr, ur):
-    """Impedance-weighted star state from the linear one-sided relations.
+def _balance_velocity(zl, pl, ul, zr, pr, ur):
+    """u* = (zl ul + zr ur + pl - pr)/(zl + zr) in perturbation form: exact (no
+    rounding) for identical inputs, bitwise symmetric under a mirror swap."""
+    return 0.5 * (ul + ur) + (0.5 * (zr - zl) * (ur - ul) + (pl - pr)) / (zl + zr)
 
-    Perturbation form of u* = (zl ul + zr ur + pl - pr)/(zl + zr) and of the
-    matching star pressure: exact (no rounding) for identical inputs, and
-    bitwise symmetric under a mirror swap of the two sides.
-    """
-    zsum = zl + zr
-    u_star = 0.5 * (ul + ur) + (0.5 * (zr - zl) * (ur - ul) + (pl - pr)) / zsum
+
+def _linear_balance(zl, pl, ul, zr, pr, ur):
+    """Impedance-weighted star (velocity, pressure), both exact and symmetric."""
+    u_star = _balance_velocity(zl, pl, ul, zr, pr, ur)
     dl = u_star - ul
     dr = u_star - ur
     p_star = 0.5 * ((pl - zl * dl) + (pr + zr * dr))
@@ -118,10 +118,11 @@ def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac):
     A = k * (rl - rr)
     neg_b = (gamma + 1.0) * (mom_l - mom_r) + zl + zr
     C = k * (mom_l * ul - mom_r * ur) + (pl - pr) + zl * ul + zr * ur
-    if not (np.isfinite(A).all() and np.isfinite(neg_b).all() and np.isfinite(C).all()):
-        raise FloatingPointError("non-finite nodal force-balance coefficients")
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # one reduction, non-finite if a coefficient is (or on overflow)
+        if not abs((A + neg_b + C).sum()) < np.inf and not np.isfinite((A, neg_b, C)).all():
+            raise FloatingPointError("non-finite nodal force-balance coefficients")
         disc = neg_b * neg_b - 4.0 * A * C
         # stable roots q/A, C/q: q = -(B + sign(B) sqrt(disc))/2, sign(+-0) = +1
         q = 0.5 * (neg_b - np.copysign(np.sqrt(disc), 0.0 - neg_b))
@@ -151,9 +152,10 @@ def solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma: float, solver: str = "qua
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown nodal solver {solver!r}; expected one of {SOLVERS}")
-    u_ac, p_ac = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
     if solver == "acoustic":
+        u_ac, p_ac = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
         return u_ac, p_ac, p_ac, np.full(np.shape(u_ac), ACOUSTIC, dtype=np.int8)
+    u_ac = _balance_velocity(rl * cl, pl, ul, rr * cr, pr, ur)  # the acoustic guess
     u_star, ps_l, ps_r, accepted = _quadratic_kernel(
         rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac)
     j = np.flatnonzero(~accepted)

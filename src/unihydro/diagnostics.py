@@ -35,7 +35,7 @@ class BoundaryFlux:
 
 def totals(mesh: Mesh1D, state) -> tuple[float, float, float]:
     """(mass, momentum, total energy) of a state on its mesh."""
-    return float(np.sum(mesh.cell_mass)), state.total_momentum(mesh), state.total_energy(mesh)
+    return float(mesh.cell_mass.sum()), state.total_momentum(mesh), state.total_energy(mesh)
 
 
 @dataclass
@@ -60,11 +60,11 @@ class ConservationLedger:
     def open(cls, mesh: Mesh1D, state) -> "ConservationLedger":
         m, p, e = totals(mesh, state)
         ledger = cls(mass0=m, momentum0=p, energy0=e, mass=m, momentum=p, energy=e)
-        ledger._update_scales(mesh, state)
+        ledger._update_scales(state)
         return ledger
 
-    def _update_scales(self, mesh: Mesh1D, state):
-        mom = float(np.sum(mesh.cell_mass) * state.max_speed)
+    def _update_scales(self, state):
+        mom = self.mass * state.max_speed
         self.momentum_scale = max(self.momentum_scale, mom,
                                   abs(self.impulse_left) + abs(self.impulse_right))
         self.energy_scale = max(self.energy_scale, abs(self.energy),
@@ -113,7 +113,7 @@ def audit_step(ledger: ConservationLedger, mesh: Mesh1D, state,
     ledger.work_right += boundary.work_right
     ledger.mass, ledger.momentum, ledger.energy = totals(mesh, state)
     ledger.steps += 1
-    ledger._update_scales(mesh, state)
+    ledger._update_scales(state)
     if (ledger.mass_drift != 0.0
             or ledger.momentum_residual_rel > ledger.tolerance
             or ledger.energy_residual_rel > ledger.tolerance):
@@ -137,18 +137,17 @@ def entropy_production_sgh(p, p_star, du):
     return (np.asarray(p, float) - np.asarray(p_star, float)) * np.asarray(du, float)
 
 
-def entropy_production_cch(p, u, u_star, p_star_right_side, p_star_left_side):
-    """Per-cell dissipation rate from the two nodal star states.
+def entropy_production_cch(p, d_left, d_right, p_star_right_side, p_star_left_side):
+    """Per-cell dissipation rate from the two nodal star states and the jumps
+    d_left = u - u* at the left node, d_right = u* - u at the right node.
 
     ``p_star_right_side[j]`` is the star pressure at node j as computed from
-    the cell on its right; ``p_star_left_side[j]`` from the cell on its left.
-    Each cell therefore pairs with the expressions written in its own state,
-    for which the sign is guaranteed by the nodal admissibility test.
-    """
+    the cell on its right; ``p_star_left_side[j]`` from the cell on its left,
+    so each cell pairs with expressions in its own state, whose sign the
+    nodal admissibility test guarantees."""
     p = np.asarray(p, float)
-    u = np.asarray(u, float)
-    return ((p - p_star_right_side[:-1]) * (u - u_star[:-1])
-            + (p - p_star_left_side[1:]) * (u_star[1:] - u))
+    return ((p - p_star_right_side[:-1]) * d_left
+            + (p - p_star_left_side[1:]) * d_right)
 
 
 class EntropyMonitor:
@@ -161,17 +160,17 @@ class EntropyMonitor:
 
     def update(self, production: np.ndarray, scale: np.ndarray,
                expansion_mask: np.ndarray | None = None):
+        """Fold in one step's production against its nonnegative scale."""
+        if expansion_mask is not None:
+            self.expansion_abs_max = max(self.expansion_abs_max, float(
+                np.abs(production).max(where=expansion_mask, initial=0.0)))
+        if production.min() >= 0.0:  # no violation and no new worst; NaN falls through
+            return
         scale = np.asarray(scale, float)
-        floor = -ENTROPY_TOL * scale
-        bad = production < floor
-        self.violations += int(np.count_nonzero(bad))
+        self.violations += int(np.count_nonzero(production < -ENTROPY_TOL * scale))
         negative = (production < 0.0) & (scale > 0.0)
         worst = float(np.min(production[negative] / scale[negative], initial=0.0))
         self.worst_normalized = min(self.worst_normalized, worst)
-        if expansion_mask is not None and np.any(expansion_mask):
-            self.expansion_abs_max = max(
-                self.expansion_abs_max,
-                float(np.max(np.abs(production[expansion_mask]))))
 
 
 # -- error norms and profile features ------------------------------------------

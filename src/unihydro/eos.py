@@ -14,6 +14,14 @@ import numpy as np
 __all__ = ["IdealGas", "ThermoState", "hugoniot_pressure", "isentrope_pressure"]
 
 
+def ideal_pressure(gamma: float, rho, eps):  # unchecked; IdealGas.pressure checks
+    return (gamma - 1.0) * rho * eps
+
+
+def ideal_sound_speed(gamma: float, rho, p):  # unchecked; IdealGas.sound_speed checks
+    return np.sqrt(gamma * p / rho)
+
+
 @dataclass(frozen=True)
 class IdealGas:
     """Ideal gas with p = (gamma - 1) rho eps.
@@ -37,7 +45,7 @@ class IdealGas:
             raise ValueError("non-finite input to pressure()")
         if np.any(rho <= 0.0):
             raise ValueError("unphysical state: rho <= 0")
-        return (self.gamma - 1.0) * rho * eps
+        return ideal_pressure(self.gamma, rho, eps)
 
     def internal_energy(self, rho, p):
         """Specific internal energy from density and pressure."""
@@ -55,7 +63,7 @@ class IdealGas:
             raise ValueError("non-finite input to sound_speed()")
         if np.any(rho <= 0.0) or np.any(p < 0.0):
             raise ValueError("unphysical state: rho <= 0 or p < 0")
-        return np.sqrt(self.gamma * p / rho)
+        return ideal_sound_speed(self.gamma, rho, p)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ is always recovered as mass / current volume, which conserves mass exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .eos import IdealGas
+from .eos import IdealGas, ideal_pressure, ideal_sound_speed
 from .errors import MeshTangled, SolverFailure
 
 __all__ = ["Mesh1D", "SghState", "CchState", "build", "cell_thermo", "update_geometry"]
@@ -40,9 +41,9 @@ class Mesh1D:
     def n_cells(self) -> int:
         return len(self.cell_mass)
 
-    @property
+    @cached_property  # read-only, once per mesh; update_geometry sets those it checked
     def cell_volumes(self) -> np.ndarray:
-        return self.node_x[1:] - self.node_x[:-1]
+        return _frozen(self.node_x[1:] - self.node_x[:-1])
 
     @property
     def cell_centers(self) -> np.ndarray:
@@ -56,14 +57,14 @@ class Mesh1D:
                 raise ValueError(f"{name} must be strictly positive")
 
     def replace_nodes(self, node_x: np.ndarray) -> "Mesh1D":
-        """New mesh with moved nodes; masses are shared, not copied."""
-        return Mesh1D(np.asarray(node_x, dtype=float), self.cell_mass,
+        """New mesh on ``node_x``, which it makes read-only; masses are shared."""
+        return Mesh1D(_frozen(node_x), self.cell_mass,
                       self.node_mass, self.subcell_mass_left, self.subcell_mass_right)
 
     @classmethod
     def from_nodes(cls, node_x, cell_rho=1.0) -> "Mesh1D":
         """Mesh with masses computed from a per-cell density (scalar or array)."""
-        node_x = np.asarray(node_x, dtype=float)
+        node_x = _frozen(np.array(node_x, dtype=float))
         centers = 0.5 * (node_x[:-1] + node_x[1:])
         rho = np.broadcast_to(np.asarray(cell_rho, dtype=float), centers.shape)
         m_left = rho * (centers - node_x[:-1])
@@ -93,18 +94,18 @@ class SghState:
 
     @property
     def max_speed(self) -> float:
-        return float(np.max(np.abs(self.node_u), initial=0.0))
+        return float(np.abs(self.node_u).max(initial=0.0))
 
     def velocity_jumps(self) -> np.ndarray:
         """Per-cell velocity variation used to harden the CFL bound."""
         return np.abs(self.node_u[1:] - self.node_u[:-1])
 
     def total_momentum(self, mesh: Mesh1D) -> float:
-        return float(np.sum(mesh.node_mass * self.node_u))
+        return float((mesh.node_mass * self.node_u).sum())
 
     def total_energy(self, mesh: Mesh1D) -> float:
-        internal = np.sum(mesh.cell_mass * self.eps)
-        kinetic = 0.5 * np.sum(mesh.node_mass * self.node_u ** 2)
+        internal = (mesh.cell_mass * self.eps).sum()
+        kinetic = 0.5 * (mesh.node_mass * self.node_u ** 2).sum()
         return float(internal + kinetic)
 
 
@@ -125,21 +126,18 @@ class CchState:
 
     @property
     def max_speed(self) -> float:
-        return float(np.max(np.abs(self.u), initial=0.0))
+        return float(np.abs(self.u).max(initial=0.0))
 
     def velocity_jumps(self) -> np.ndarray:
         """Largest velocity jump to either neighbor, per cell."""
-        d = np.abs(np.diff(self.u))
-        du = np.zeros_like(self.u)
-        du[:-1] = d
-        du[1:] = np.maximum(du[1:], d)
-        return du
+        d = np.abs(self.u[1:] - self.u[:-1])
+        return np.concatenate((d[:1], np.maximum(d[:-1], d[1:]), d[-1:]))
 
     def total_momentum(self, mesh: Mesh1D) -> float:
-        return float(np.sum(mesh.cell_mass * self.u))
+        return float((mesh.cell_mass * self.u).sum())
 
     def total_energy(self, mesh: Mesh1D) -> float:
-        return float(np.sum(mesh.cell_mass * self.E))
+        return float((mesh.cell_mass * self.E).sum())
 
 
 def _symmetric_linspace(a: float, b: float, n_points: int) -> np.ndarray:
@@ -196,15 +194,25 @@ def build(domain, n_cells: int, init, kind: str, gas: IdealGas):
     return mesh, state
 
 
-def cell_thermo(gas: IdealGas, rho, eps):
-    """(p, c) of updated cells; a non-finite or nonpositive eps is fatal."""
-    if not np.all(np.isfinite(eps)):
-        raise SolverFailure("non-finite internal energy",
-                            cell=int(np.argmin(np.isfinite(eps))))
-    if np.any(eps <= 0.0):
-        raise SolverFailure("nonpositive internal energy", cell=int(np.argmin(eps)))
-    p = np.asarray(gas.pressure(rho, eps))
-    return p, np.asarray(gas.sound_speed(rho, p))
+def cell_thermo(gas: IdealGas, rho, eps, floors=(0.0, 0.0)):
+    """(p, c) of updated cells after one test of five reductions: eps and rho
+    finite and above their ``floors`` (eps, rho; below 0 acts as 0), p finite.
+    Only when it fails do the exact checks run, to name the first failure's cell."""
+    rho, eps = np.asarray(rho, dtype=float), np.asarray(eps, dtype=float)
+    p = ideal_pressure(gas.gamma, rho, eps)
+    if (eps.min() > max(floors[0], 0.0) and eps.max() < np.inf and rho.min() > max(floors[1], 0.0)
+            and rho.max() < np.inf and p.max() < np.inf):
+        return p, ideal_sound_speed(gas.gamma, rho, p)
+    for bad, reason, field in ((~np.isfinite(eps), "non-finite internal energy", None),
+                               (eps <= 0.0, "nonpositive internal energy", eps),
+                               (~np.isfinite(rho), "non-finite density", None),
+                               (rho <= 0.0, "nonpositive density", rho),
+                               (~np.isfinite(p), "non-finite pressure", None),
+                               (eps <= floors[0], "positivity floor hit", eps),
+                               (rho <= floors[1], "positivity floor hit", rho)):
+        if bad.any():  # the cell: the first bad one, or the field's minimum
+            cell = np.argmax(bad) if field is None else np.argmin(field)
+            raise SolverFailure(reason, cell=int(cell))
 
 
 def update_geometry(mesh: Mesh1D, u_star: np.ndarray, dt: float) -> Mesh1D:
@@ -212,7 +220,9 @@ def update_geometry(mesh: Mesh1D, u_star: np.ndarray, dt: float) -> Mesh1D:
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     new_x = mesh.node_x + np.asarray(u_star, dtype=float) * dt
-    if np.any(new_x[1:] - new_x[:-1] <= 0.0):
-        bad = int(np.argmax(new_x[1:] - new_x[:-1] <= 0.0))
-        raise MeshTangled("mesh tangling", cell=bad)
-    return mesh.replace_nodes(new_x)
+    volumes = new_x[1:] - new_x[:-1]
+    if not volumes.min() > 0.0 and np.any(volumes <= 0.0):  # NaN passes both tests
+        raise MeshTangled("mesh tangling", cell=int(np.argmax(volumes <= 0.0)))
+    moved = mesh.replace_nodes(new_x)
+    moved.cell_volumes = _frozen(volumes)
+    return moved

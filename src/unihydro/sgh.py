@@ -87,7 +87,7 @@ def _side_flux(bc: BoundaryCondition, sign: float, dt: float, p_bnd: float,
 
 def _advance(base_state: SghState, base_mesh: Mesh1D, work_state: SghState,
              gas: IdealGas, dt: float, bc_left: BoundaryCondition,
-             bc_right: BoundaryCondition, p_energy_extra=None):
+             bc_right: BoundaryCondition, floors, p_energy_extra=None):
     """One pass of the scheme.
 
     Star pressures and accelerations come from ``work_state``; velocities and
@@ -115,7 +115,8 @@ def _advance(base_state: SghState, base_mesh: Mesh1D, work_state: SghState,
     eps_new = base_state.eps - (dt / base_mesh.cell_mass) * p_energy * (u_star[1:] - u_star[:-1])
     new_mesh = mesh_mod.update_geometry(base_mesh, u_star, dt)
     rho_new = base_mesh.cell_mass / new_mesh.cell_volumes
-    new_state = SghState(u_new, rho_new, eps_new, *mesh_mod.cell_thermo(gas, rho_new, eps_new))
+    p_new, c_new = mesh_mod.cell_thermo(gas, rho_new, eps_new, floors)
+    new_state = SghState(u_new, rho_new, eps_new, p_new, c_new)
 
     il, wl = _side_flux(bc_left, +1.0, dt, p_bnd_l, p_star[0], u_star[0],
                         base_mesh.node_mass[0], u_n[0], u_new[0])
@@ -127,11 +128,11 @@ def _advance(base_state: SghState, base_mesh: Mesh1D, work_state: SghState,
 
 
 def predictor_step(state: SghState, mesh: Mesh1D, gas: IdealGas, dt: float,
-                   bc_left: BoundaryCondition, bc_right: BoundaryCondition):
+                   bc_left: BoundaryCondition, bc_right: BoundaryCondition, floors=(0.0, 0.0)):
     """First pass: everything evaluated at t^n, advanced a full dt with
     time-centered velocities."""
     new_mesh, new_state, p_star, u_star, du, production, flux = _advance(
-        state, mesh, state, gas, dt, bc_left, bc_right)
+        state, mesh, state, gas, dt, bc_left, bc_right, floors)
     report = SghStepReport(du, p_star, u_star, production, state.p * np.abs(du),
                            du >= 0.0, flux)
     return new_mesh, new_state, report
@@ -139,11 +140,11 @@ def predictor_step(state: SghState, mesh: Mesh1D, gas: IdealGas, dt: float,
 
 def corrector_step(state_n: SghState, mesh_n: Mesh1D, provisional: SghState,
                    gas: IdealGas, dt: float, bc_left: BoundaryCondition,
-                   bc_right: BoundaryCondition, predictor_report: SghStepReport):
+                   bc_right: BoundaryCondition, predictor_report: SghStepReport, floors=(0.0, 0.0)):
     """Second pass: star pressures re-evaluated on the provisional state; the
     energy update averages the two passes' star pressures."""
     new_mesh, new_state, p_star2, u_star2, du2, production2, flux = _advance(
-        state_n, mesh_n, provisional, gas, dt, bc_left, bc_right,
+        state_n, mesh_n, provisional, gas, dt, bc_left, bc_right, floors,
         p_energy_extra=predictor_report.p_star)
     production = predictor_report.entropy_production + production2
     report = SghStepReport(predictor_report.du, p_star2, u_star2, production,
@@ -153,11 +154,13 @@ def corrector_step(state_n: SghState, mesh_n: Mesh1D, provisional: SghState,
 
 def step(state: SghState, mesh: Mesh1D, gas: IdealGas, dt: float,
          bc_left: BoundaryCondition, bc_right: BoundaryCondition,
-         mode: str = "predictor_only"):
-    """Advance one time step in the requested mode."""
+         mode: str = "predictor_only", floors=(0.0, 0.0)):
+    """Advance one time step in the requested mode. The end state must pass
+    ``mesh.cell_thermo`` with ``floors``, the provisional state of a corrected step without."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    mesh1, provisional, report1 = predictor_step(state, mesh, gas, dt, bc_left, bc_right)
     if mode == "predictor_only":
-        return mesh1, provisional, report1
-    return corrector_step(state, mesh, provisional, gas, dt, bc_left, bc_right, report1)
+        return predictor_step(state, mesh, gas, dt, bc_left, bc_right, floors)
+    mesh1, provisional, report1 = predictor_step(state, mesh, gas, dt, bc_left, bc_right)
+    return corrector_step(state, mesh, provisional, gas, dt, bc_left, bc_right, report1,
+                          floors)

@@ -300,17 +300,15 @@ def test_nodal_solver_consistency():
 
 
 def test_determinism_bit_identical_outputs(tmp_path):
-    def once(tag):
+    def once(tag, method, suffixes):
         out = str(tmp_path / tag)
-        _run("sod", "sgh", 100, out=out)
-        with open(f"{out}/sod_sgh_N100.csv", "rb") as fh:
-            profile = fh.read()
-        with open(f"{out}/sod_sgh_N100.nodes", "rb") as fh:
-            nodes = fh.read()
-        return profile, nodes
-    first = once("a")
-    second = once("b")
-    assert first[0] == second[0]
-    assert first[1] == second[1]
+        _run("sod", method, 100, out=out)
+        files = []
+        for suffix in suffixes:
+            with open(f"{out}/sod_{method}_N100{suffix}", "rb") as fh:
+                files.append(fh.read())
+        return files
+    for method, suffixes in (("sgh", (".csv", ".nodes")), ("cch", (".csv",))):  # CCH quadratic
+        assert once(f"{method}-a", method, suffixes) == once(f"{method}-b", method, suffixes)
     print("\nACCEPTANCE determinism: PASS - repeated runs produce bit-identical "
           "profile and node files")

@@ -145,6 +145,45 @@ class TestRun:
         assert err.value.step is not None
         assert err.value.time is not None
 
+    @pytest.mark.parametrize("step, option, kind", [
+        (sgh.step, {"mode": "predictor_only"}, "sgh"),
+        (sgh.step, {"mode": "predictor_corrector"}, "sgh"),
+        (cch.step, {"solver": "quadratic"}, "cch"),
+    ], ids=["sgh-predictor", "sgh-predictor-corrector", "cch-quadratic"])
+    @pytest.mark.parametrize("field", ["eps", "rho"])
+    def test_step_checks_each_floor(self, step, option, kind, field):
+        """The floor of each field names that field's smallest cell (on lax
+        the smallest eps is right of the contact, the smallest rho left of it)."""
+        problem = uh.lax()
+        gas = IdealGas(problem.gamma)
+        mesh, state = uh.build_initial(problem, 20, kind)
+        new_mesh, new_state, _ = step(state, mesh, gas, 1e-3, problem.bc_left,
+                                      problem.bc_right, **option)
+        values = getattr(new_state, field)
+        level = float(np.min(values))
+        floors = (level, 0.0) if field == "eps" else (0.0, level)
+        with pytest.raises(uh.SolverFailure, match="positivity floor hit") as err:
+            step(state, mesh, gas, 1e-3, problem.bc_left, problem.bc_right, **option,
+                 floors=floors)
+        assert err.value.cell == int(np.argmin(values))
+        assert err.value.cell != int(np.argmin(new_state.eps if field == "rho"
+                                                else new_state.rho))
+
+    def test_floor_failure_names_the_failing_step(self, monkeypatch):
+        """A floor hit in step 1 reports step 1, its start time and the cell
+        of the smallest density."""
+        problem = uh.lax()
+        mesh, state = uh.build_initial(problem, 20, "cch")
+        floors = (0.0, float(np.max(state.rho)))
+        monkeypatch.setattr(cli, "_positivity_floors", lambda s: floors)
+        with pytest.raises(uh.SolverFailure, match="positivity floor hit") as err:
+            uh.run(uh.RunConfig(problem=problem, method="cch", n_cells=20))
+        assert (err.value.step, err.value.time) == (1, 0.0)
+        dt = 1e-4 * cli._cfl_candidate(state, mesh, 0.3)   # the first step of the ramp
+        _, first, _ = cch.step(state, mesh, IdealGas(problem.gamma), dt,
+                               problem.bc_left, problem.bc_right)
+        assert err.value.cell == int(np.argmin(first.rho)) != int(np.argmin(first.eps))
+
     def test_snapshots_written(self, tmp_path):
         out = str(tmp_path / "snaps")
         cfg = uh.RunConfig(problem="sod", method="sgh", n_cells=20, t_end=0.02,
@@ -187,7 +226,7 @@ class TestDeterminism:
 class TestWriteRows:
     def test_bytes_match_per_value_writer(self):
         rng = np.random.default_rng(5)
-        n = 2 * 1024 + 7   # two full chunks and a partial one
+        n = 2 * 1024 + 7   # eight full 256-row chunks and a partial one
         special = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, -1e-300, np.inf, -np.inf, np.nan])
         columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(3)]
         for i, col in enumerate(columns):

@@ -90,7 +90,7 @@ class TestEntropyProduction:
         u = np.full(n, 0.2)
         u_star = np.full(n + 1, 0.2)
         ps = np.ones(n + 1)
-        got = diag.entropy_production_cch(p, u, u_star, ps, ps)
+        got = diag.entropy_production_cch(p, u - u_star[:-1], u_star[1:] - u, ps, ps)
         np.testing.assert_array_equal(got, 0.0)
 
 
@@ -179,3 +179,11 @@ class TestEntropyMonitor:
         assert mon.worst_normalized == -0.5
         mon.update(np.array([1.0, -0.0]), np.array([0.0, 2.0]))
         assert mon.worst_normalized == -0.5
+        # all production nonnegative, with an expansion mask: no violation, the
+        # worst stays, and the expansion maximum is that of the masked cells
+        mon.update(np.array([3.0, 0.0, 0.25, -0.0, 7.0]), np.array([1.0, 0.0, 1.0, 2.0, 0.0]),
+                   np.array([False, True, True, True, False]))
+        assert (mon.violations, mon.worst_normalized, mon.expansion_abs_max) == (3, -0.5, 0.25)
+        mon.update(np.array([0.5, 0.0]), np.array([1.0, 1.0]), np.array([False, False]))
+        mon.update(np.array([-2.0, 0.125]), np.array([0.0, 1.0]), np.array([True, True]))
+        assert (mon.violations, mon.worst_normalized, mon.expansion_abs_max) == (4, -0.5, 2.0)

@@ -5,8 +5,8 @@ import pytest
 
 import unihydro as uh
 from unihydro.eos import IdealGas
-from unihydro.errors import MeshTangled
-from unihydro.mesh import Mesh1D, build, update_geometry
+from unihydro.errors import MeshTangled, SolverFailure
+from unihydro.mesh import Mesh1D, build, cell_thermo, update_geometry
 
 GAS = IdealGas(1.4)
 
@@ -82,11 +82,53 @@ class TestUpdateGeometry:
             with pytest.raises(MeshTangled, match="tangling"):
                 update_geometry(mesh, np.array([1.0, -1.0]), dt)
 
+    def test_volumes_checked_once_and_read_only(self):
+        mesh = Mesh1D.from_nodes(np.linspace(0.0, 1.0, 5))
+        moved = update_geometry(mesh, np.linspace(0.0, 0.4, 5), 0.05)
+        assert moved.cell_volumes.tobytes() == np.diff(moved.node_x).tobytes()
+        for a in (moved.node_x, moved.cell_volumes, mesh.node_x, mesh.cell_volumes):
+            assert not a.flags.writeable
+
     def test_masses_shared_not_copied(self):
         mesh = Mesh1D.from_nodes(np.linspace(0.0, 1.0, 5))
         moved = update_geometry(mesh, np.full(5, 0.1), 0.05)
         assert moved.cell_mass is mesh.cell_mass
         assert moved.node_mass is mesh.node_mass
+
+
+class TestCellThermo:
+    def test_values_are_the_eos_values(self):
+        rho, eps = np.array([1.0, 0.125, 3.0]), np.array([2.5, 2.0, 1e-3])
+        p, c = cell_thermo(GAS, rho, eps, (1e-4, 1e-2))
+        assert p.tobytes() == GAS.pressure(rho, eps).tobytes()
+        assert c.tobytes() == GAS.sound_speed(rho, p).tobytes()
+
+    @pytest.mark.parametrize("rho, eps, reason", [
+        ([1.0, 10.0], [1.0, 1e308], "non-finite pressure"),
+        ([1.0, np.inf], [1.0, 1.0], "non-finite density"),
+        ([1.0, 0.0], [1.0, 1.0], "nonpositive density"),
+        ([1.0, np.nan], [1.0, 1.0], "non-finite density"),
+        ([1.0, 1.0], [1.0, -np.inf], "non-finite internal energy"),
+        ([1.0, 1.0], [1.0, -1.0], "nonpositive internal energy"),
+    ])
+    def test_invalid_state_is_solver_failure_naming_the_cell(self, rho, eps, reason):
+        """Invalid states the EOS used to reject with ValueError."""
+        with np.errstate(over="ignore"), pytest.raises(SolverFailure) as err:
+            cell_thermo(GAS, rho, eps)
+        assert err.value.reason == reason
+        assert err.value.cell == 1
+
+    def test_negative_floors_act_as_zero(self):
+        with pytest.raises(SolverFailure, match="nonpositive internal energy"):
+            cell_thermo(GAS, [1.0, 1.0], [1.0, -0.5], (-1.0, -1.0))
+
+    @pytest.mark.parametrize("floors, cell", [((0.5, 0.0), 2), ((0.0, 0.5), 1)])
+    def test_each_floor_names_the_cell_of_its_field(self, floors, cell):
+        rho, eps = np.array([1.0, 0.25, 2.0]), np.array([1.0, 2.0, 0.25])
+        with pytest.raises(SolverFailure, match="positivity floor hit") as err:
+            cell_thermo(GAS, rho, eps, floors)
+        assert err.value.cell == cell
+        cell_thermo(GAS, rho, eps, (0.2, 0.2))
 
 
 class TestRunInvariants:
