@@ -117,8 +117,9 @@ def step(state: CchState, mesh: Mesh1D, gas: IdealGas, dt: float,
     m = mesh.cell_mass
     dt_m = dt / m
 
+    work = ps * us
     u_new = state.u + dt_m * (ps[:-1] - ps[1:])
-    E_new = state.E + dt_m * (ps[:-1] * us[:-1] - ps[1:] * us[1:])
+    E_new = state.E + dt_m * (work[:-1] - work[1:])
     new_mesh = mesh_mod.update_geometry(mesh, us, dt)
     rho_new = m / new_mesh.cell_volumes
     eps_new = E_new - 0.5 * u_new ** 2
@@ -128,8 +129,9 @@ def step(state: CchState, mesh: Mesh1D, gas: IdealGas, dt: float,
     d_left, d_right = state.u - us[:-1], us[1:] - state.u
     production = entropy_production_cch(state.p, d_left, d_right,
                                         nodal.p_star_right, nodal.p_star_left)
-    flux = BoundaryFlux(impulse_left=dt * ps[0], impulse_right=-dt * ps[-1],
-                        work_left=dt * ps[0] * us[0], work_right=-dt * ps[-1] * us[-1])
+    p0, pn, u0, un = float(ps[0]), float(ps[-1]), float(us[0]), float(us[-1])
+    flux = BoundaryFlux(impulse_left=dt * p0, impulse_right=-dt * pn,
+                        work_left=dt * p0 * u0, work_right=-dt * pn * un)
     scale = state.p * (np.abs(d_left) + np.abs(d_right))
     report = CchStepReport(nodal, production, scale, flux)
     return new_mesh, new_state, report

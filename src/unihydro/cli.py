@@ -19,7 +19,7 @@ from . import problems as problems_mod
 from . import sgh as sgh_mod
 from .errors import ConfigError, MeshTangled, SolverFailure
 from .eos import IdealGas
-from .mesh import CchState, SghState
+from .mesh import CchState, SghState, _least
 from .problems import ProblemSpec
 
 __all__ = ["RunConfig", "RunResult", "compute_dt", "run",
@@ -63,6 +63,8 @@ class RunConfig:
             raise ConfigError(f"dt_growth must be >= 1, got {self.dt_growth}")
         if not (self.t_end is None or 0.0 <= self.t_end < float("inf")):
             raise ConfigError(f"t_end must be finite and >= 0, got {self.t_end}")
+        if not all(abs(t) < float("inf") for t in self.snapshot_times):
+            raise ConfigError(f"snapshot_times must be finite, got {self.snapshot_times}")
 
 
 @dataclass
@@ -80,7 +82,7 @@ class RunResult:
 
 
 def _cfl_candidate(state, mesh, cfl: float) -> float:
-    return cfl * float((mesh.cell_volumes / (state.c + state.velocity_jumps())).min())
+    return cfl * float(_least(mesh.cell_volumes / (state.c + state.velocity_jumps())))
 
 
 def compute_dt(state, mesh, cfl: float, dt_prev: float | None,
@@ -144,19 +146,19 @@ def run(config: RunConfig) -> RunResult:
         while t_end - t > 1e-14 * time_scale:
             if steps >= _MAX_STEPS:
                 raise SolverFailure(f"exceeded {_MAX_STEPS} steps")
-            remaining = t_end - t
-            if snapshots:
-                remaining = min(remaining, snapshots[0] - t)
             dt = compute_dt(state, mesh, config.cfl, dt_prev, config.dt_max,
-                            config.dt_growth, remaining)
+                            config.dt_growth, t_end - t)
             if dt_prev is None:
                 dt = min(dt, (config.dt_init if config.dt_init is not None
                               else 1e-4 * dt))
+            # the growth limit follows the rule's step, not the output clamp
+            dt_prev = dt
+            if snapshots:
+                dt = min(dt, snapshots[0] - t)
 
             mesh, state, report = step(state, mesh, gas, dt,
                                        problem.bc_left, problem.bc_right)
             t += dt
-            dt_prev = dt
             steps += 1
             diag.audit_step(ledger, mesh, state, report.boundary)
             monitor.update(report.entropy_production, report.entropy_scale,
@@ -416,6 +418,25 @@ def _overrides_from_args(args) -> dict:
     return overrides
 
 
+def _write_reference(args):
+    """The ``reference`` command: the reference profile at ``--points``
+    uniform positions at time ``--t`` in [0, t_end], written to ``--out``."""
+    problem = resolve_problem(args.problem)
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
+    if not 0.0 <= args.t <= problem.t_end:
+        raise ConfigError(f"--t must be in [0, t_end = {problem.t_end}], got {args.t}")
+    try:
+        fh = open(args.out, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {args.out!r}: {exc.strerror}") from exc
+    with fh:
+        x = np.linspace(problem.domain[0], problem.domain[1], args.points)
+        ref = problems_mod.sample_reference(problem, x, args.t)
+        fh.write("x,rho,u,p,eps\n")
+        _write_rows(fh, (x, ref["rho"], ref["u"], ref["p"], ref["eps"]))
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -441,13 +462,7 @@ def main(argv=None) -> int:
                 with open(path, "w", encoding="utf-8", newline="\n") as fh:
                     fh.write(text)
             return 0
-        # reference
-        problem = resolve_problem(args.problem)
-        x = np.linspace(problem.domain[0], problem.domain[1], args.points)
-        ref = problems_mod.sample_reference(problem, x, args.t)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,rho,u,p,eps\n")
-            _write_rows(fh, (x, ref["rho"], ref["u"], ref["p"], ref["eps"]))
+        _write_reference(args)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .eos import ThermoState
+from .mesh import _greatest, _least
 
 __all__ = ["taylor_pressure", "star_pressure", "sgh_star_pressure", "solve_nodes"]
 
@@ -64,15 +65,15 @@ def sgh_star_pressure(rho, c, p, du, gamma: float):
     return np.where(du < 0.0, compressed, p)
 
 
-def _balance_velocity(zl, pl, ul, zr, pr, ur):
-    """u* = (zl ul + zr ur + pl - pr)/(zl + zr) in perturbation form: exact (no
-    rounding) for identical inputs, bitwise symmetric under a mirror swap."""
-    return 0.5 * (ul + ur) + (0.5 * (zr - zl) * (ur - ul) + (pl - pr)) / (zl + zr)
+def _balance_velocity(zl, ul, zr, ur, dp):
+    """u* = (zl ul + zr ur + dp)/(zl + zr), dp = pl - pr, in perturbation form:
+    exact (no rounding) for identical inputs, bitwise symmetric under a mirror swap."""
+    return 0.5 * (ul + ur) + (0.5 * (zr - zl) * (ur - ul) + dp) / (zl + zr)
 
 
 def _linear_balance(zl, pl, ul, zr, pr, ur):
     """Impedance-weighted star (velocity, pressure), both exact and symmetric."""
-    u_star = _balance_velocity(zl, pl, ul, zr, pr, ur)
+    u_star = _balance_velocity(zl, ul, zr, ur, pl - pr)
     dl = u_star - ul
     dr = u_star - ur
     p_star = 0.5 * ((pl - zl * dl) + (pr + zr * dr))
@@ -103,39 +104,40 @@ def _admissible(c, d, k):
     return c >= k * np.abs(d)
 
 
-def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac):
+def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, zl=None, zr=None, dp=None):
     """Quadratic nodal force balance A u^2 + B u + C = 0 with admissibility test.
 
     Returns (u_star, p_star_left_side, p_star_right_side, accepted_mask). The root
     nearest the acoustic star velocity ``u_ac`` is tried (the one root where |A| is
     negligible); a rejected node carries ``u_ac`` and is for the caller to fill.
+    ``zl`` = rl cl, ``zr`` = rr cr and ``dp`` = pl - pr may be passed in when the
+    caller has them.
     """
     k = 0.5 * (gamma + 1.0)
-    zl = rl * cl
-    zr = rr * cr
+    zl = rl * cl if zl is None else zl
+    zr = rr * cr if zr is None else zr
+    dp = pl - pr if dp is None else dp
     mom_l = rl * ul
     mom_r = rr * ur
     A = k * (rl - rr)
     neg_b = (gamma + 1.0) * (mom_l - mom_r) + zl + zr
-    C = k * (mom_l * ul - mom_r * ur) + (pl - pr) + zl * ul + zr * ur
+    C = k * (mom_l * ul - mom_r * ur) + dp + zl * ul + zr * ur
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # one reduction, non-finite if a coefficient is (or on overflow)
-        if not abs((A + neg_b + C).sum()) < np.inf and not np.isfinite((A, neg_b, C)).all():
-            raise FloatingPointError("non-finite nodal force-balance coefficients")
         disc = neg_b * neg_b - 4.0 * A * C
+        # a non-finite coefficient makes disc non-finite (so does an overflow)
+        if not _greatest(np.abs(disc)) < np.inf and not np.isfinite((A, neg_b, C)).all():
+            raise FloatingPointError("non-finite nodal force-balance coefficients")
         # stable roots q/A, C/q: q = -(B + sign(B) sqrt(disc))/2, sign(+-0) = +1
         q = 0.5 * (neg_b - np.copysign(np.sqrt(disc), 0.0 - neg_b))
         root_a = q / A
         root_b = C / q
         u_try = np.where(np.abs(root_a - u_ac) <= np.abs(root_b - u_ac), root_a, root_b)
-        accepted = disc > 0.0
-        linear = np.flatnonzero(np.abs(A) < 1e-12 * k * np.maximum(rl, rr))
-        if linear.size:
-            u_try[linear] = C[linear] / neg_b[linear]
-            accepted[linear] = True
+        linear = np.abs(A) < 1e-12 * k * np.maximum(rl, rr)
+        u_try = np.where(linear, C / neg_b, u_try)
         # an admissible jump is finite, so this also rejects non-finite roots
-        accepted &= _admissible(cl, u_try - ul, k) & _admissible(cr, u_try - ur, k)
+        accepted = (((disc > 0.0) | linear)
+                    & _admissible(cl, u_try - ul, k) & _admissible(cr, u_try - ur, k))
     u_star = np.where(accepted, u_try, u_ac)
     return (u_star, star_pressure(pl, zl, rl, u_star - ul, k),
             star_pressure(pr, zr, rr, ur - u_star, k), accepted)
@@ -154,13 +156,14 @@ def solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma: float, solver: str = "qua
         raise ValueError(f"unknown nodal solver {solver!r}; expected one of {SOLVERS}")
     if solver == "acoustic":
         u_ac, p_ac = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
-        return u_ac, p_ac, p_ac, np.full(np.shape(u_ac), ACOUSTIC, dtype=np.int8)
-    u_ac = _balance_velocity(rl * cl, pl, ul, rr * cr, pr, ur)  # the acoustic guess
+        return u_ac, p_ac, p_ac, np.zeros(np.shape(u_ac), dtype=np.int8)  # ACOUSTIC = 0
+    zl, zr, dp = rl * cl, rr * cr, pl - pr
+    u_ac = _balance_velocity(zl, ul, zr, ur, dp)  # the acoustic guess
     u_star, ps_l, ps_r, accepted = _quadratic_kernel(
-        rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac)
-    j = np.flatnonzero(~accepted)
-    if j.size:
+        rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, zl, zr, dp)
+    if not _least(accepted):
+        j = (~accepted).nonzero()[0]
         u_star[j], p_2s = _two_shock_kernel(
             rl[j], cl[j], pl[j], ul[j], rr[j], cr[j], pr[j], ur[j], gamma, u_ac[j])
         ps_l[j] = ps_r[j] = p_2s
-    return u_star, ps_l, ps_r, accepted.astype(np.int8)  # QUADRATIC = 1, ACOUSTIC = 0
+    return u_star, ps_l, ps_r, accepted.view(np.int8)  # QUADRATIC = 1, ACOUSTIC = 0

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh1D
+from .mesh import Mesh1D, _least
 
 __all__ = [
     "BoundaryFlux", "ConservationLedger", "EntropyMonitor",
@@ -164,7 +164,7 @@ class EntropyMonitor:
         if expansion_mask is not None:
             self.expansion_abs_max = max(self.expansion_abs_max, float(
                 np.abs(production).max(where=expansion_mask, initial=0.0)))
-        if production.min() >= 0.0:  # no violation and no new worst; NaN falls through
+        if _least(production) >= 0.0:  # no violation and no new worst; NaN falls through
             return
         scale = np.asarray(scale, float)
         self.violations += int(np.count_nonzero(production < -ENTROPY_TOL * scale))
@@ -187,6 +187,8 @@ def convergence_order(n_values, errors) -> float:
     """Least-squares order: minus the slope of log(error) against log(N)."""
     n = np.asarray(n_values, float)
     e = np.asarray(errors, float)
+    if len(set(n.tolist())) < 2:
+        raise ValueError("a convergence order needs at least two distinct resolutions")
     if np.any(e <= 0.0):
         raise ValueError("errors must be positive for a log-log fit")
     slope = np.polyfit(np.log(n), np.log(e), 1)[0]

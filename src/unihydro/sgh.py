@@ -42,8 +42,10 @@ def nodal_acceleration(p_star, node_mass, p_bnd_left: float, p_bnd_right: float)
     The boundary nodes see the supplied ghost pressures on their open side.
     """
     p_star = np.asarray(p_star, float)
-    p_ext = np.concatenate(([p_bnd_left], p_star, [p_bnd_right]))
-    return (p_ext[:-1] - p_ext[1:]) / np.asarray(node_mass, float)
+    force = np.empty(len(p_star) + 1)
+    force[0], force[-1] = p_bnd_left - p_star[0], p_star[-1] - p_bnd_right
+    np.subtract(p_star[:-1], p_star[1:], out=force[1:-1])
+    return force / np.asarray(node_mass, float)
 
 
 def half_step_velocity(u_n, accel, dt: float):
@@ -82,7 +84,7 @@ def _side_flux(bc: BoundaryCondition, sign: float, dt: float, p_bnd: float,
     else:
         impulse = sign * dt * p_bnd
         work = sign * dt * p_bnd * u_star_edge
-    return impulse, work
+    return float(impulse), float(work)
 
 
 def _advance(base_state: SghState, base_mesh: Mesh1D, work_state: SghState,

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,6 +196,17 @@ class TestRun:
         assert "sod_sgh_N20.summary" in names
         assert any(n.startswith("sod_sgh_N20_t0.01") for n in names)
 
+    @pytest.mark.parametrize("snapshots, steps", [((0.1,), 923), ((0.05, 0.1, 0.15), 924)])
+    def test_snapshot_does_not_restart_the_ramp(self, snapshots, steps):
+        """A snapshot clamps one step; dt then grows from the step the CFL and
+        growth rule chose, so the run stays close to the one without output."""
+        config = uh.RunConfig(problem="sod", method="sgh", n_cells=100)
+        plain = uh.run(config)
+        snapped = uh.run(replace(config, snapshot_times=snapshots))
+        assert (plain.steps, snapped.steps) == (922, steps)
+        assert snapped.t_final == plain.t_final
+        assert np.max(np.abs(snapped.state.rho - plain.state.rho)) < 1e-5
+
     def test_profile_file_shape(self, tmp_path):
         out = str(tmp_path / "prof")
         uh.run(uh.RunConfig(problem="sod", method="cch", n_cells=25,
@@ -316,9 +328,18 @@ class TestCommandLine:
         ("run", "--t-end", "nan", "t_end"),
         ("run", "--t-end", "inf", "t_end"),
         ("converge", "--cells", "a,b", "'a,b'"),
+        ("run", "--snapshots", "0.1,nan", "snapshot_times"),
+        ("reference", "--points", "-1", "--points"),
+        ("reference", "--t", "5", "--t"),
+        ("reference", "--t", "nan", "--t"),
+        ("reference", "--out", "{tmp}/missing/ref.csv", "--out"),
     ])
-    def test_bad_option_is_config_error(self, capsys, command, flag, value, named):
-        assert cli.main([command, "--problem", "sod", flag, value]) == 3
+    def test_bad_option_is_config_error(self, tmp_path, capsys, command, flag, value, named):
+        # the options ``reference`` requires; the flag under test repeats and wins
+        required = (["--t", "0.1", "--points", "5", "--out", str(tmp_path / "ref.csv")]
+                    if command == "reference" else [])
+        argv = [command, "--problem", "sod", *required, flag, value.format(tmp=tmp_path)]
+        assert cli.main(argv) == 3
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, named", [
@@ -349,6 +370,11 @@ class TestCommandLine:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "x,rho,u,p,eps"
         assert len(lines) == 51
+
+    def test_converge_one_resolution_prints_no_order(self, capsys):
+        assert cli.main(["converge", "--problem", "sod", "--cells", "20,20"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [r.split(",")[0] for r in rows] == ["N", "20", "20"]
 
     def test_converge_command(self, tmp_path, capsys):
         code = cli.main(["converge", "--problem", "sod", "--method", "sgh",

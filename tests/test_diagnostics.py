@@ -128,6 +128,10 @@ class TestErrorNorms:
         assert diag.convergence_order([50, 100, 200], [0.3, 0.3, 0.3]) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError):
             diag.convergence_order([50, 100], [0.1, 0.0])
+        # one resolution, given once or twice, has no slope to fit
+        for n, e in (([20, 20], [0.0267, 0.0267]), ([50], [0.1])):
+            with pytest.raises(ValueError, match="two distinct resolutions"):
+                diag.convergence_order(n, e)
 
 
 class TestProfileFeatures:
@@ -187,3 +191,11 @@ class TestEntropyMonitor:
         mon.update(np.array([0.5, 0.0]), np.array([1.0, 1.0]), np.array([False, False]))
         mon.update(np.array([-2.0, 0.125]), np.array([0.0, 1.0]), np.array([True, True]))
         assert (mon.violations, mon.worst_normalized, mon.expansion_abs_max) == (4, -0.5, 2.0)
+
+    def test_nan_production_takes_the_full_path(self):
+        """A NaN anywhere fails the nonnegative fast test, so the negative cell
+        after it is still counted and normalized."""
+        mon = diag.EntropyMonitor()
+        mon.update(np.array([1.0, np.nan, -2.0]), np.array([1.0, 1.0, 4.0]),
+                   np.array([True, False, False]))
+        assert (mon.violations, mon.worst_normalized, mon.expansion_abs_max) == (1, -0.5, 1.0)

@@ -6,7 +6,7 @@ import pytest
 import unihydro as uh
 from unihydro.eos import IdealGas
 from unihydro.errors import MeshTangled, SolverFailure
-from unihydro.mesh import Mesh1D, build, cell_thermo, update_geometry
+from unihydro.mesh import Mesh1D, _greatest, _least, build, cell_thermo, update_geometry
 
 GAS = IdealGas(1.4)
 
@@ -96,6 +96,30 @@ class TestUpdateGeometry:
         assert moved.node_mass is mesh.node_mass
 
 
+class TestExtrema:
+    """``_least``/``_greatest`` give the values ``min``/``max`` give."""
+
+    @pytest.mark.parametrize("values", [
+        [3.0, 1.0, 2.0, 1.0, 3.0],         # ties: the first is taken
+        [1.0, np.nan, -5.0, np.nan],      # NaN inside wins over any number
+        [np.nan, 1.0],
+        [2.0, -np.inf, np.inf, -1.0],
+        [0.0, -0.0, 1.0, -1.0],           # signed-zero ties compare equal
+        [-0.0, 0.0],
+        [np.inf, np.inf],
+        [-np.inf],
+        [True, False, True],              # a mask: is every entry true?
+        [True, True],
+    ], ids=["ties", "nan", "nan_first", "infinities", "signed_zeros", "zeros_only",
+            "all_inf", "single", "mask", "mask_all_true"])
+    def test_value_is_that_of_min_and_max(self, values):
+        a = np.array(values)
+        for fast, reduce in ((_least, np.min), (_greatest, np.max)):
+            got, want = fast(a), reduce(a)
+            assert got.dtype == want.dtype
+            assert got == want or (np.isnan(got) and np.isnan(want))
+
+
 class TestCellThermo:
     def test_values_are_the_eos_values(self):
         rho, eps = np.array([1.0, 0.125, 3.0]), np.array([2.5, 2.0, 1e-3])
@@ -110,9 +134,11 @@ class TestCellThermo:
         ([1.0, np.nan], [1.0, 1.0], "non-finite density"),
         ([1.0, 1.0], [1.0, -np.inf], "non-finite internal energy"),
         ([1.0, 1.0], [1.0, -1.0], "nonpositive internal energy"),
+        ([1.0, 1.0], [1.0, np.inf], "non-finite internal energy"),
     ])
     def test_invalid_state_is_solver_failure_naming_the_cell(self, rho, eps, reason):
-        """Invalid states the EOS used to reject with ValueError."""
+        """Invalid states the EOS used to reject with ValueError. An infinite
+        rho or eps with the other finite is caught by the finite-pressure test."""
         with np.errstate(over="ignore"), pytest.raises(SolverFailure) as err:
             cell_thermo(GAS, rho, eps)
         assert err.value.reason == reason

@@ -1,0 +1,51 @@
+"""Per-step budget of numpy reductions in the driver loop.
+
+A ufunc reduction (``min``, ``max``, ``all``, ``sum``) costs about 2.5 us at
+the sizes most runs use, while ``a[a.argmin()]`` gives the same value in about
+1 us. So the per-step validity, tangling, CFL, speed, monitor and nodal-solve
+tests take their extrema through ``mesh._least``/``_greatest``, and only the
+conservation ledger keeps its sums (their pairwise order sets the ledger's
+bits). The count of ``numpy.ufunc.reduce`` calls is deterministic; a change
+that puts a per-step reduction back fails here. Nothing is timed.
+"""
+
+import cProfile
+import pstats
+from dataclasses import replace
+
+import pytest
+
+import unihydro as uh
+
+N_STEPS = 50
+DT = 1e-4          # well below the CFL step of Sod at N = 40: every step takes it
+REDUCE = "<method 'reduce' of 'numpy.ufunc' objects>"
+
+
+def _reduce_calls(config):
+    """(steps, ufunc reductions) of one run."""
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        result = uh.run(config)
+    finally:
+        profile.disable()
+    calls = sum(stat[1] for (_, _, name), stat in pstats.Stats(profile).stats.items()
+                if name == REDUCE)
+    return result.steps, calls
+
+
+@pytest.mark.parametrize("method, option, budget", [
+    ("sgh", {"sgh_mode": "predictor_only"}, 5),
+    ("sgh", {"sgh_mode": "predictor_corrector"}, 5),
+    ("cch", {"cch_solver": "quadratic"}, 4),
+    ("cch", {"cch_solver": "acoustic"}, 4),
+], ids=["sgh-predictor", "sgh-predictor-corrector", "cch-quadratic", "cch-acoustic"])
+def test_reductions_per_step_within_budget(method, option, budget):
+    config = uh.RunConfig(problem="sod", method=method, n_cells=40,
+                          dt_init=DT, dt_max=DT, **option)
+    # a run of no steps counts the set-up: initial state, ledger, floors
+    setup_steps, setup = _reduce_calls(replace(config, t_end=0.0))
+    steps, total = _reduce_calls(replace(config, t_end=N_STEPS * DT))
+    assert (setup_steps, steps) == (0, N_STEPS)
+    assert total - setup <= budget * N_STEPS
