@@ -426,13 +426,13 @@ def _write_reference(args):
         raise ConfigError(f"--points must be >= 1, got {args.points}")
     if not 0.0 <= args.t <= problem.t_end:
         raise ConfigError(f"--t must be in [0, t_end = {problem.t_end}], got {args.t}")
+    x = np.linspace(problem.domain[0], problem.domain[1], args.points)
+    ref = problems_mod.sample_reference(problem, x, args.t)
     try:
         fh = open(args.out, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ConfigError(f"--out: cannot write {args.out!r}: {exc.strerror}") from exc
     with fh:
-        x = np.linspace(problem.domain[0], problem.domain[1], args.points)
-        ref = problems_mod.sample_reference(problem, x, args.t)
         fh.write("x,rho,u,p,eps\n")
         _write_rows(fh, (x, ref["rho"], ref["u"], ref["p"], ref["eps"]))
 

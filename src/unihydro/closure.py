@@ -104,19 +104,16 @@ def _admissible(c, d, k):
     return c >= k * np.abs(d)
 
 
-def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, zl=None, zr=None, dp=None):
+def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, zl, zr, dp):
     """Quadratic nodal force balance A u^2 + B u + C = 0 with admissibility test.
 
     Returns (u_star, p_star_left_side, p_star_right_side, accepted_mask). The root
     nearest the acoustic star velocity ``u_ac`` is tried (the one root where |A| is
     negligible); a rejected node carries ``u_ac`` and is for the caller to fill.
-    ``zl`` = rl cl, ``zr`` = rr cr and ``dp`` = pl - pr may be passed in when the
-    caller has them.
+    ``zl`` = rl cl, ``zr`` = rr cr and ``dp`` = pl - pr come from the caller,
+    which forms them once for the acoustic guess as well.
     """
     k = 0.5 * (gamma + 1.0)
-    zl = rl * cl if zl is None else zl
-    zr = rr * cr if zr is None else zr
-    dp = pl - pr if dp is None else dp
     mom_l = rl * ul
     mom_r = rr * ur
     A = k * (rl - rr)

@@ -196,14 +196,14 @@ class TestRun:
         assert "sod_sgh_N20.summary" in names
         assert any(n.startswith("sod_sgh_N20_t0.01") for n in names)
 
-    @pytest.mark.parametrize("snapshots, steps", [((0.1,), 923), ((0.05, 0.1, 0.15), 924)])
-    def test_snapshot_does_not_restart_the_ramp(self, snapshots, steps):
+    @pytest.mark.parametrize("snapshots", [(0.1,), (0.05, 0.1, 0.15)])
+    def test_snapshot_does_not_restart_the_ramp(self, snapshots):
         """A snapshot clamps one step; dt then grows from the step the CFL and
         growth rule chose, so the run stays close to the one without output."""
         config = uh.RunConfig(problem="sod", method="sgh", n_cells=100)
         plain = uh.run(config)
         snapped = uh.run(replace(config, snapshot_times=snapshots))
-        assert (plain.steps, snapped.steps) == (922, steps)
+        assert plain.steps <= snapped.steps <= plain.steps + len(snapshots)
         assert snapped.t_final == plain.t_final
         assert np.max(np.abs(snapped.state.rho - plain.state.rho)) < 1e-5
 
@@ -370,6 +370,23 @@ class TestCommandLine:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "x,rho,u,p,eps"
         assert len(lines) == 51
+
+    def test_failed_reference_keeps_earlier_profile(self, tmp_path, monkeypatch):
+        """The profile is built before ``--out`` is opened, so a solver failure
+        exits 2 and leaves an earlier file as it was."""
+        from unihydro import problems
+        from unihydro.errors import SolverFailure
+
+        def fail(problem, x, t):
+            raise SolverFailure("reference run failed")
+
+        out = tmp_path / "ref.csv"
+        out.write_text("earlier\n", encoding="utf-8")
+        monkeypatch.setattr(problems, "sample_reference", fail)
+        code = cli.main(["reference", "--problem", "sod", "--t", "0.2",
+                         "--points", "5", "--out", str(out)])
+        assert code == 2
+        assert out.read_text(encoding="utf-8") == "earlier\n"
 
     def test_converge_one_resolution_prints_no_order(self, capsys):
         assert cli.main(["converge", "--problem", "sod", "--cells", "20,20"]) == 0

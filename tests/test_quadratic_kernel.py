@@ -81,7 +81,8 @@ def assert_matches_reference(rl, cl, pl, ul, rr, cr, pr, ur):
     u_ac, _ = _acoustic_kernel(*args)
     with np.errstate(all="ignore"):
         *ref, ref_ok, u_try = reference_kernel(*args, GAMMA, u_ac)
-    *new, new_ok = _quadratic_kernel(*args, GAMMA, u_ac)
+    rl, cl, pl, ul, rr, cr, pr, ur = args
+    *new, new_ok = _quadratic_kernel(*args, GAMMA, u_ac, rl * cl, rr * cr, pl - pr)
     assert new_ok.dtype == np.bool_ and new_ok.shape == u_ac.shape
     flipped = ref_ok != new_ok
     tie = _near_bound(args[1], u_try - args[3]) | _near_bound(args[5], u_try - args[7])
@@ -116,7 +117,8 @@ def test_covers_linear_negative_discriminant_and_zero_jump():
     root4 = -B[4] / (2.0 * A[4])
     assert cl[4] >= K * abs(root4 - ul[4]) and cr[4] >= K * abs(root4 - ur[4])
     u_ac, _ = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
-    u_star, _, _, accepted = _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, GAMMA, u_ac)
+    u_star, _, _, accepted = _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, GAMMA, u_ac,
+                                               rl * cl, rr * cr, pl - pr)
     assert accepted.tolist() == [True, True, False, True, False, True]
     assert u_star[1] == 0.3 and u_star[2] == u_ac[2] and u_star[4] == u_ac[4]
     assert u_star[5] == C[5] / -B[5]
@@ -127,7 +129,7 @@ def test_non_finite_coefficients_raise():
     one = np.ones(2)
     with pytest.raises(FloatingPointError, match="non-finite"):
         _quadratic_kernel(one, one, one, np.array([1.0, np.inf]), one, one, one, one,
-                          GAMMA, one)
+                          GAMMA, one, one, one, one - one)
 
 
 _rho = st.floats(0.01, 100.0)

@@ -76,7 +76,7 @@ def ref_solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma, solver):
     if solver == "acoustic":
         return u_ac, p_ac, p_ac, np.full(np.shape(u_ac), closure.ACOUSTIC, dtype=np.int8)
     u_star, ps_l, ps_r, accepted = closure._quadratic_kernel(
-        rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac)
+        rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, rl * cl, rr * cr, pl - pr)
     j = np.flatnonzero(~accepted)
     if j.size:
         u_star[j], p_2s = ref_two_shock(
