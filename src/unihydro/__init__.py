@@ -7,7 +7,7 @@ law, with conservation and entropy audits and a six-problem benchmark suite.
 """
 
 from .cli import RunConfig, RunResult, run, run_convergence
-from .eos import IdealGas, ThermoState, hugoniot_pressure, isentrope_pressure
+from .eos import IdealGas
 from .errors import ConfigError, MeshTangled, SolverFailure
 from .mesh import CchState, Mesh1D, SghState
 from .problems import (PROBLEM_NAMES, BoundaryCondition, ProblemSpec, build_initial,
@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RunConfig", "RunResult", "run", "run_convergence",
-    "IdealGas", "ThermoState", "hugoniot_pressure", "isentrope_pressure",
-    "ConfigError", "MeshTangled", "SolverFailure",
+    "IdealGas", "ConfigError", "MeshTangled", "SolverFailure",
     "Mesh1D", "SghState", "CchState",
     "BoundaryCondition", "ProblemSpec", "PROBLEM_NAMES", "by_name",
     "sod", "lax", "double_rarefaction", "sedov", "shu_osher", "leblanc",

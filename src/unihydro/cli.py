@@ -63,8 +63,6 @@ class RunConfig:
             raise ConfigError(f"dt_growth must be >= 1, got {self.dt_growth}")
         if not (self.t_end is None or 0.0 <= self.t_end < float("inf")):
             raise ConfigError(f"t_end must be finite and >= 0, got {self.t_end}")
-        if not all(abs(t) < float("inf") for t in self.snapshot_times):
-            raise ConfigError(f"snapshot_times must be finite, got {self.snapshot_times}")
 
 
 @dataclass
@@ -123,6 +121,10 @@ def run(config: RunConfig) -> RunResult:
     down; mesh tangling is reported through the MeshTangled subclass.
     """
     problem = resolve_problem(config.problem)
+    t_end = problem.t_end if config.t_end is None else float(config.t_end)
+    if not all(0.0 < t <= t_end for t in config.snapshot_times):
+        raise ConfigError(f"snapshot_times must be in (0, t_end = {t_end}], "
+                          f"got {config.snapshot_times}")
     gas = IdealGas(problem.gamma)
     try:
         mesh, state = problems_mod.build_initial(problem, config.n_cells, config.method)
@@ -131,11 +133,11 @@ def run(config: RunConfig) -> RunResult:
     floors = _positivity_floors(state)
     step = (partial(sgh_mod.step, mode=config.sgh_mode, floors=floors) if config.method == "sgh"
             else partial(cch_mod.step, solver=config.cch_solver, floors=floors))
-    t_end = problem.t_end if config.t_end is None else float(config.t_end)
 
     ledger = diag.ConservationLedger.open(mesh, state)
     monitor = diag.EntropyMonitor()
-    snapshots = sorted(t for t in config.snapshot_times if 0.0 < t < t_end)
+    # a time equal to t_end is the final profile
+    snapshots = sorted(t for t in config.snapshot_times if t < t_end)
 
     t = 0.0
     steps = 0
@@ -304,9 +306,20 @@ def run_convergence(config: RunConfig, n_list, n_reference: int = 3200) -> Conve
 
 # -- command line ----------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error (a malformed or unknown flag) as a ConfigError."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _load_config_file(path: str) -> dict:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"--config: cannot read {path!r}: {exc.strerror}") from exc
+    with fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -326,69 +339,71 @@ def _number_list(text: str, kind=float) -> tuple:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-_CONFIG_PARSERS = {
-    "problem": str, "method": str, "n_cells": int, "sgh_mode": str,
-    "cch_solver": str, "cfl": float, "dt_init": float, "dt_max": float,
-    "dt_growth": float, "t_end": float, "out": str, "snapshot_times": _number_list,
+# Every RunConfig field once: field -> (flag, parser, help). The parser reads the
+# flag's value and the field's value in a --config file alike; a dict parser
+# maps each allowed value, and --help lists them.
+_OPTIONS = {
+    "problem": ("--problem", str, "problem name or @spec.json"),
+    "method": ("--method", {"sgh": "sgh", "cch": "cch"}, "staggered-grid or cell-centered"),
+    "n_cells": ("--cells", int, "number of cells"),
+    "sgh_mode": ("--mode", {"predictor": "predictor_only", "pc": "predictor_corrector",
+                            **{mode: mode for mode in sgh_mod.MODES}},
+                 "time integration mode for the staggered method"),
+    "cch_solver": ("--solver", {solver: solver for solver in cch_mod.SOLVERS},
+                   "nodal solver for the cell-centered method"),
+    "cfl": ("--cfl", float, None),
+    "dt_init": ("--dt-init", float, None),
+    "dt_max": ("--dt-max", float, None),
+    "dt_growth": ("--dt-growth", float, None),
+    "t_end": ("--t-end", float, None),
+    "out": ("--out", str, "output directory"),
+    "snapshot_times": ("--snapshots", _number_list, "comma-separated snapshot times"),
 }
+_RUN_ONLY = ("n_cells", "snapshot_times")   # converge takes a list of resolutions
 
 
-def _config_from_sources(file_path: str | None, overrides: dict) -> RunConfig:
-    values: dict = {}
-    if file_path:
-        raw = _load_config_file(file_path)
-        for key, text in raw.items():
-            if key not in _CONFIG_PARSERS:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_PARSERS[key](text)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
-    values.update({k: v for k, v in overrides.items() if v is not None})
+def _option_value(field: str, text: str):
+    flag, parse, _ = _OPTIONS[field]
+    try:
+        return parse[text] if isinstance(parse, dict) else parse(text)
+    except (KeyError, ValueError):
+        allowed = f"; expected one of {', '.join(parse)}" if isinstance(parse, dict) else ""
+        raise ConfigError(f"bad value for {field} ({flag}): {text!r}{allowed}") from None
+
+
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The fields of the ``--config`` file, overridden by the flags given."""
+    texts = _load_config_file(args.config) if args.config else {}
+    texts.update((key, text) for key, text in vars(args).items() if key in _OPTIONS)
+    values = {}
+    for key, text in texts.items():
+        if key not in _OPTIONS:
+            raise ConfigError(f"unknown config key {key!r}")
+        values[key] = _option_value(key, text)
     if "problem" not in values:
         raise ConfigError("no problem specified (flag --problem or config file)")
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-_MODE_ALIASES = {"predictor": "predictor_only", "pc": "predictor_corrector",
-                 "predictor_only": "predictor_only",
-                 "predictor_corrector": "predictor_corrector"}
+    return RunConfig(**values)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="unihydro",
         description="1D Lagrangian compressible-flow solver (staggered-grid "
                     "and cell-centered methods)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--problem", help="problem name or @spec.json")
-        p.add_argument("--method", choices=("sgh", "cch"))
-        p.add_argument("--cfl", type=float)
-        p.add_argument("--solver", choices=cch_mod.SOLVERS,
-                       help="nodal solver for the cell-centered method")
-        p.add_argument("--mode", choices=tuple(_MODE_ALIASES),
-                       help="time integration mode for the staggered method")
-        p.add_argument("--t-end", type=float, dest="t_end")
-        p.add_argument("--dt-init", type=float, dest="dt_init")
-        p.add_argument("--dt-max", type=float, dest="dt_max")
-        p.add_argument("--dt-growth", type=float, dest="dt_growth")
-        p.add_argument("--out", help="output directory")
-
     p_run = sub.add_parser("run", help="run a single simulation")
-    add_common(p_run)
-    p_run.add_argument("--cells", type=int, dest="n_cells")
-    p_run.add_argument("--snapshots", help="comma-separated snapshot times")
-
     p_conv = sub.add_parser("converge", help="mesh-convergence study")
-    add_common(p_conv)
     p_conv.add_argument("--cells", required=True,
                         help="comma-separated resolutions, e.g. 50,100,200")
+    for p in (p_run, p_conv):
+        p.add_argument("--config", help="key=value file of RunConfig fields, with the "
+                                        "values the flags take; flags override it")
+        for field, (flag, parse, about) in _OPTIONS.items():
+            if p is p_run or field not in _RUN_ONLY:
+                p.add_argument(flag, dest=field, default=argparse.SUPPRESS, help=about,
+                               metavar="{%s}" % ",".join(parse) if isinstance(parse, dict)
+                               else None)
 
     p_ref = sub.add_parser("reference", help="write a reference profile")
     p_ref.add_argument("--problem", required=True)
@@ -396,26 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ref.add_argument("--points", type=int, required=True)
     p_ref.add_argument("--out", required=True, help="output csv file")
     return parser
-
-
-def _overrides_from_args(args) -> dict:
-    overrides = {
-        "problem": args.problem,
-        "method": args.method,
-        "cfl": args.cfl,
-        "cch_solver": args.solver,
-        "sgh_mode": _MODE_ALIASES[args.mode] if args.mode else None,
-        "t_end": args.t_end,
-        "dt_init": args.dt_init,
-        "dt_max": args.dt_max,
-        "dt_growth": args.dt_growth,
-        "out": args.out,
-    }
-    if getattr(args, "n_cells", None) is not None:
-        overrides["n_cells"] = args.n_cells
-    if getattr(args, "snapshots", None):
-        overrides["snapshot_times"] = _number_list(args.snapshots)
-    return overrides
 
 
 def _write_reference(args):
@@ -438,10 +433,10 @@ def _write_reference(args):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
-            config = _config_from_sources(args.config, _overrides_from_args(args))
+            config = _run_config(args)
             result = run(config)
             led = result.ledger
             print(f"{result.problem.name} {config.method} N={config.n_cells}: "
@@ -451,7 +446,7 @@ def main(argv=None) -> int:
                   f"energy residual {led.energy_residual_rel:.2e}")
             return 0
         if args.command == "converge":
-            config = _config_from_sources(args.config, _overrides_from_args(args))
+            config = _run_config(args)
             table = run_convergence(config, _number_list(args.cells, int))
             text = table.format()
             print(text, end="")

@@ -1,8 +1,9 @@
 """Pressure-velocity closure shared by the staggered and cell-centered methods.
 
 A quadratic Taylor expansion of the pressure in the specific-volume change
-(valid to third order on both the shock adiabat and the isentrope) is turned
-into a pressure-velocity relation through the sound-crossing time of a cell.
+(the shock adiabat and the isentrope of an ideal gas share its first and second
+derivatives) is turned into a pressure-velocity relation through the
+sound-crossing time of a cell.
 For the staggered method this yields a per-cell star pressure with a
 linear-plus-quadratic compression term; for the cell-centered method a nodal
 force balance gives either a linear (acoustic) solve or a quadratic solve with
@@ -22,26 +23,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .eos import ThermoState
 from .mesh import _greatest, _least
 
-__all__ = ["taylor_pressure", "star_pressure", "sgh_star_pressure", "solve_nodes"]
+__all__ = ["star_pressure", "sgh_star_pressure", "solve_nodes"]
 
 ACOUSTIC = 0
 QUADRATIC = 1
 SOLVERS = ("acoustic", "quadratic")
-
-
-def taylor_pressure(delta_tau, ref: ThermoState, gamma: float):
-    """Quadratic expansion of pressure in the specific-volume change.
-
-    p = P0 - rho0^2 c0^2 dtau + ((gamma+1)/2) rho0^3 c0^2 dtau^2
-    """
-    dtau = np.asarray(delta_tau, dtype=float)
-    rho0 = ref.rho
-    lin = rho0 * rho0 * ref.c * ref.c
-    quad = 0.5 * (gamma + 1.0) * rho0 * rho0 * rho0 * ref.c * ref.c
-    return ref.p - lin * dtau + quad * dtau * dtau
 
 
 def star_pressure(p, z, rho, d, k):

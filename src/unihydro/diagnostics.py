@@ -17,7 +17,7 @@ __all__ = [
     "BoundaryFlux", "ConservationLedger", "EntropyMonitor",
     "totals", "audit_step",
     "entropy_production_sgh", "entropy_production_cch",
-    "l1_error", "convergence_order", "crossing_position", "count_extrema",
+    "l1_error", "convergence_order",
 ]
 
 ENTROPY_TOL = 1e-12
@@ -193,51 +193,3 @@ def convergence_order(n_values, errors) -> float:
         raise ValueError("errors must be positive for a log-log fit")
     slope = np.polyfit(np.log(n), np.log(e), 1)[0]
     return float(-slope)
-
-
-def crossing_position(x, q, level, window=None, which="last") -> float:
-    """x where the profile crosses ``level``, linearly interpolated.
-
-    ``window`` restricts the search to (x_lo, x_hi); ``which`` selects the
-    first or last crossing.
-    """
-    x = np.asarray(x, float)
-    q = np.asarray(q, float)
-    if window is not None:
-        m = (x >= window[0]) & (x <= window[1])
-        x, q = x[m], q[m]
-    d = q - level
-    sign_change = d[:-1] * d[1:] <= 0.0
-    idx = np.flatnonzero(sign_change & (d[:-1] != d[1:]))
-    if len(idx) == 0:
-        raise ValueError(f"profile never crosses level {level}")
-    i = idx[-1] if which == "last" else idx[0]
-    t = d[i] / (d[i] - d[i + 1])
-    return float(x[i] + t * (x[i + 1] - x[i]))
-
-
-def count_extrema(q, min_prominence: float) -> int:
-    """Number of local maxima with at least the given prominence.
-
-    Prominence of a peak is its height above the higher of the two minima
-    separating it from taller terrain (or the array ends).
-    """
-    q = np.asarray(q, float)
-    n = len(q)
-    count = 0
-    for i in range(1, n - 1):
-        if not (q[i] > q[i - 1] and q[i] >= q[i + 1]):
-            continue
-        left_min = q[i]
-        j = i - 1
-        while j >= 0 and q[j] <= q[i]:
-            left_min = min(left_min, q[j])
-            j -= 1
-        right_min = q[i]
-        j = i + 1
-        while j < n and q[j] <= q[i]:
-            right_min = min(right_min, q[j])
-            j += 1
-        if q[i] - max(left_min, right_min) >= min_prominence:
-            count += 1
-    return count

@@ -14,7 +14,7 @@ import numpy as np
 from .eos import IdealGas, ideal_pressure, ideal_sound_speed
 from .errors import MeshTangled, SolverFailure
 
-__all__ = ["Mesh1D", "SghState", "CchState", "build", "cell_thermo", "update_geometry"]
+__all__ = ["Mesh1D", "SghState", "CchState", "cell_thermo", "update_geometry"]
 
 
 # The value of a per-step min/max test, found by argmin/argmax: about 1 us where
@@ -154,60 +154,6 @@ class CchState:
 
     def total_energy(self, mesh: Mesh1D) -> float:
         return float((mesh.cell_mass * self.E).sum())
-
-
-def _symmetric_linspace(a: float, b: float, n_points: int) -> np.ndarray:
-    """Uniform nodes that are bitwise mirror-symmetric about the midpoint.
-
-    Keeps mirror-symmetric problems exactly symmetric in floating point.
-    """
-    mid = 0.5 * (a + b)
-    offsets = np.linspace(a, b, n_points) - mid
-    return mid + 0.5 * (offsets - offsets[::-1])
-
-
-def build(domain, n_cells: int, init, kind: str, gas: IdealGas):
-    """Uniform mesh plus initial state from a pointwise primitive sampler.
-
-    ``init(x) -> (rho, u, p)`` is evaluated at cell centers for thermodynamic
-    fields and masses; for the staggered state the node velocities are sampled
-    at node positions.
-    """
-    a, b = float(domain[0]), float(domain[1])
-    if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
-        raise ValueError(f"domain must be a nonempty interval, got ({a}, {b})")
-    if n_cells < 2:
-        raise ValueError(f"need at least 2 cells, got {n_cells}")
-    if kind not in ("sgh", "cch"):
-        raise ValueError(f"unknown state kind {kind!r}")
-
-    node_x = _symmetric_linspace(a, b, n_cells + 1)
-    centers = 0.5 * (node_x[:-1] + node_x[1:])
-    rho_c, u_c, p_c = (np.broadcast_to(np.asarray(q, dtype=float), centers.shape).copy()
-                       for q in init(centers))
-    for name, q in (("rho", rho_c), ("u", u_c), ("p", p_c)):
-        if not np.all(np.isfinite(q)):
-            raise ValueError(f"non-finite initial {name}")
-    if np.any(rho_c <= 0.0):
-        raise ValueError("initial density must be positive")
-    if np.any(p_c < 0.0):
-        raise ValueError("initial pressure must be nonnegative")
-
-    mesh = Mesh1D.from_nodes(node_x, rho_c)
-    mesh.validate()
-
-    eps_c = np.asarray(gas.internal_energy(rho_c, p_c), dtype=float)
-    c_c = np.asarray(gas.sound_speed(rho_c, p_c), dtype=float)
-    if kind == "sgh":
-        node_u = np.broadcast_to(np.asarray(init(node_x)[1], dtype=float),
-                                 node_x.shape).copy()
-        if not np.all(np.isfinite(node_u)):
-            raise ValueError("non-finite initial node velocity")
-        state = SghState(node_u, rho_c, eps_c, p_c, c_c)
-    else:
-        E = eps_c + 0.5 * u_c ** 2
-        state = CchState(rho_c, u_c, E, eps_c, p_c, c_c)
-    return mesh, state
 
 
 def cell_thermo(gas: IdealGas, rho, eps, floors=(0.0, 0.0)):

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mesh as mesh_mod
 from . import riemann
 from .eos import IdealGas
+from .mesh import CchState, Mesh1D, SghState
 
 __all__ = [
     "BoundaryCondition", "Region", "ProblemSpec",
@@ -189,9 +189,9 @@ class ProblemSpec:
         return rho, u, p
 
     def velocity_at_nodes(self, xn: np.ndarray) -> np.ndarray:
-        """Node velocities; a node sitting exactly on a region interface takes
-        the average of the two adjacent region velocities."""
-        u = self.primitives_at(xn)[1]
+        """Node velocities from the region velocities; a node sitting exactly on
+        a region interface takes the average of the two adjacent ones."""
+        u = np.array([r.u for r in self.regions], dtype=float)[self._region_index(xn)]
         width = self.domain[1] - self.domain[0]
         for left, right in zip(self.regions[:-1], self.regions[1:]):
             on_edge = np.abs(xn - left.x_hi) <= 1e-12 * width
@@ -321,31 +321,58 @@ def by_name(name: str) -> ProblemSpec:
 
 # -- initial state construction ----------------------------------------------
 
+def _symmetric_linspace(a: float, b: float, n_points: int) -> np.ndarray:
+    """Uniform nodes that are bitwise mirror-symmetric about the midpoint.
+
+    Keeps mirror-symmetric problems exactly symmetric in floating point.
+    """
+    mid = 0.5 * (a + b)
+    offsets = np.linspace(a, b, n_points) - mid
+    return mid + 0.5 * (offsets - offsets[::-1])
+
+
 def build_initial(problem: ProblemSpec, n_cells: int, method: str):
-    """Mesh and initial state for a problem, including the center deposit.
+    """Uniform mesh and initial state: cell fields (and masses) sampled at the
+    centres, staggered node velocities from the region velocities, and the
+    center deposit set before the one evaluation of pressure and sound speed.
 
     For an even cell count the deposit is split over the two central cells so
     mirror-symmetric data stays exactly symmetric.
     """
-    gas = IdealGas(problem.gamma)
-    grid, state = mesh_mod.build(problem.domain, n_cells, problem.primitives_at,
-                                 kind=method, gas=gas)
-    if method == "sgh":
-        state.node_u[:] = problem.velocity_at_nodes(grid.node_x)
+    a, b = float(problem.domain[0]), float(problem.domain[1])
+    if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
+        raise ValueError(f"domain must be a nonempty interval, got ({a}, {b})")
+    if n_cells < 2:
+        raise ValueError(f"need at least 2 cells, got {n_cells}")
+    if method not in ("sgh", "cch"):
+        raise ValueError(f"unknown state kind {method!r}")
 
+    node_x = _symmetric_linspace(a, b, n_cells + 1)
+    rho, u, p = problem.primitives_at(0.5 * (node_x[:-1] + node_x[1:]))
+    for name, q in (("rho", rho), ("u", u), ("p", p)):
+        if not np.all(np.isfinite(q)):
+            raise ValueError(f"non-finite initial {name}")
+    if np.any(rho <= 0.0):
+        raise ValueError("initial density must be positive")
+    if np.any(p < 0.0):
+        raise ValueError("initial pressure must be nonnegative")
+    grid = Mesh1D.from_nodes(node_x, rho)
+    grid.validate()
+
+    gas = IdealGas(problem.gamma)
+    eps = gas.internal_energy(rho, p)
     if problem.center_energy is not None:
-        if n_cells % 2 == 0:
-            targets = (n_cells // 2 - 1, n_cells // 2)
-        else:
-            targets = (n_cells // 2,)
-        share = problem.center_energy / len(targets)
-        for j in targets:
-            state.eps[j] = share / grid.cell_mass[j]
-        state.p[:] = gas.pressure(state.rho, state.eps)
-        state.c[:] = gas.sound_speed(state.rho, state.p)
-        if method == "cch":
-            state.E[:] = state.eps + 0.5 * state.u ** 2
-    return grid, state
+        half = n_cells // 2
+        targets = [half - 1, half] if n_cells % 2 == 0 else [half]
+        eps[targets] = problem.center_energy / len(targets) / grid.cell_mass[targets]
+        p = gas.pressure(rho, eps)
+    c = gas.sound_speed(rho, p)
+    if method == "cch":
+        return grid, CchState(rho, u, eps + 0.5 * u ** 2, eps, p, c)
+    node_u = problem.velocity_at_nodes(node_x)
+    if not np.all(np.isfinite(node_u)):
+        raise ValueError("non-finite initial node velocity")
+    return grid, SghState(node_u, rho, eps, p, c)
 
 
 # -- reference solutions ------------------------------------------------------

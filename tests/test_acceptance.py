@@ -13,9 +13,12 @@ import pytest
 import unihydro as uh
 from unihydro import diagnostics as diag
 from unihydro import problems as problems_mod
-from unihydro.closure import solve_nodes, taylor_pressure
-from unihydro.eos import IdealGas, ThermoState, hugoniot_pressure, isentrope_pressure
+from unihydro.closure import solve_nodes
+from unihydro.eos import IdealGas
 from unihydro.riemann import PrimitiveState, solve as riemann_solve
+
+from oracles import (ThermoState, count_extrema, crossing_position, hugoniot_pressure,
+                     isentrope_pressure, taylor_pressure)
 
 METHODS = ("sgh", "cch")
 MATRIX_CELLS = {"sod": 100, "lax": 100, "double_rarefaction": 100,
@@ -125,10 +128,10 @@ def test_sod_convergence_and_features(sod_runs):
     for method in METHODS:
         result = sod_runs[method, 200]
         x = result.mesh.cell_centers
-        xs = diag.crossing_position(x, result.state.rho, 0.5 * (rho_post + 0.125),
-                                    window=(x_contact + 0.02, 1.0))
-        xc = diag.crossing_position(x, result.state.rho, 0.5 * (rho_star_l + rho_post),
-                                    window=(0.5, x_shock - 0.02))
+        xs = crossing_position(x, result.state.rho, 0.5 * (rho_post + 0.125),
+                               window=(x_contact + 0.02, 1.0))
+        xc = crossing_position(x, result.state.rho, 0.5 * (rho_star_l + rho_post),
+                               window=(0.5, x_shock - 0.02))
         assert abs(xs - x_shock) <= 2 * cell, (method, xs, x_shock)
         assert abs(xc - x_contact) <= 2 * cell, (method, xc, x_contact)
     print("\nACCEPTANCE sod: PASS - L1 density errors strictly decreasing for "
@@ -149,8 +152,8 @@ def test_lax_and_leblanc_convergence(leblanc_runs):
 
     # the N=3600 staggered run pins the shock inside [7.8, 8.2]
     result = leblanc_runs["sgh", 3600]
-    xs = diag.crossing_position(result.mesh.cell_centers, result.state.rho,
-                                2.5e-3, window=(6.0, 9.0))
+    xs = crossing_position(result.mesh.cell_centers, result.state.rho,
+                           2.5e-3, window=(6.0, 9.0))
     assert 7.8 <= xs <= 8.2, xs
     print(f"\nACCEPTANCE lax+leblanc: PASS - errors strictly decreasing for "
           f"both methods; LeBlanc SGH N=3600 shock at x={xs:.3f}")
@@ -234,15 +237,15 @@ def test_shock_density_wave_convergence_and_extrema(shu_osher_reference):
         errors[method] = errs
 
     # oscillation extrema behind the shock, prominence 0.15
-    xs_ref = diag.crossing_position(rx, rfields["rho"], 2.0, window=(1.0, 4.0))
+    xs_ref = crossing_position(rx, rfields["rho"], 2.0, window=(1.0, 4.0))
     w = (rx > xs_ref - 2.2) & (rx < xs_ref - 0.05)
     grid = np.linspace(xs_ref - 2.2, xs_ref - 0.05, 2000)
-    n_ref = diag.count_extrema(np.interp(grid, rx[w], rfields["rho"][w]), 0.15)
+    n_ref = count_extrema(np.interp(grid, rx[w], rfields["rho"][w]), 0.15)
     for method, result in finest.items():
         c = result.mesh.cell_centers
-        xs = diag.crossing_position(c, result.state.rho, 2.0, window=(1.0, 4.0))
+        xs = crossing_position(c, result.state.rho, 2.0, window=(1.0, 4.0))
         wn = (c > xs - 2.2) & (c < xs - 0.05)
-        n_num = diag.count_extrema(result.state.rho[wn], 0.15)
+        n_num = count_extrema(result.state.rho[wn], 0.15)
         assert n_num == n_ref, (method, n_num, n_ref)
     print(f"\nACCEPTANCE shock-density-wave: PASS - errors decreasing toward the "
           f"N=3200 reference for both methods; {n_ref} post-shock extrema matched")

@@ -272,12 +272,17 @@ class TestConvergenceRunner:
         assert "order" not in table.format()
 
 
+def config_of(*argv):
+    """The RunConfig the ``run`` command builds from these arguments."""
+    return cli._run_config(cli._build_parser().parse_args(["run", *argv]))
+
+
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("problem=sod\nmethod=sgh\nn_cells=30\ncfl=0.25\n",
                         encoding="utf-8")
-        cfg = cli._config_from_sources(str(path), {"n_cells": 40})
+        cfg = config_of("--config", str(path), "--cells", "40")
         assert cfg.n_cells == 40
         assert cfg.cfl == 0.25
         assert cfg.method == "sgh"
@@ -286,13 +291,20 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("nonsense=1\n", encoding="utf-8")
         with pytest.raises(ConfigError):
-            cli._config_from_sources(str(path), {})
+            config_of("--config", str(path))
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("just a line\n", encoding="utf-8")
         with pytest.raises(ConfigError):
-            cli._config_from_sources(str(path), {})
+            config_of("--config", str(path))
+
+    def test_file_key_takes_the_flag_values(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("problem=sod\nsgh_mode=pc\n", encoding="utf-8")
+        from_file = config_of("--config", str(path))
+        assert from_file == config_of("--problem", "sod", "--mode", "pc")
+        assert from_file.sgh_mode == "predictor_corrector"
 
 
 class TestCommandLine:
@@ -316,6 +328,16 @@ class TestCommandLine:
         assert bad.returncode == 3
         assert "cfl" in bad.stderr
 
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    def test_help_lists_allowed_values(self, capsys, command):
+        with pytest.raises(SystemExit) as done:
+            cli.main([command, "--help"])
+        assert done.value.code == 0
+        text = capsys.readouterr().out
+        for allowed in ("--method {sgh,cch}", "--solver {acoustic,quadratic}",
+                        "--mode {predictor,pc,predictor_only,predictor_corrector}"):
+            assert allowed in text
+
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["run", "--problem", "sod", "--cfl", "5.0"]) == 3
         assert cli.main(["run", "--problem", "nosuch"]) == 3
@@ -329,6 +351,14 @@ class TestCommandLine:
         ("run", "--t-end", "inf", "t_end"),
         ("converge", "--cells", "a,b", "'a,b'"),
         ("run", "--snapshots", "0.1,nan", "snapshot_times"),
+        ("run", "--snapshots", "5,-1", "snapshot_times"),
+        ("run", "--cfl", "abc", "--cfl"),
+        ("run", "--cells", "2.5", "--cells"),
+        ("run", "--method", "xyz", "--method"),
+        ("run", "--solver", "foo", "--solver"),
+        ("run", "--mode", "bogus", "--mode"),
+        ("run", "--bogus", "1", "--bogus"),
+        ("run", "--config", "{tmp}/missing.cfg", "--config"),
         ("reference", "--points", "-1", "--points"),
         ("reference", "--t", "5", "--t"),
         ("reference", "--t", "nan", "--t"),

@@ -6,63 +6,102 @@ import pytest
 import unihydro as uh
 from unihydro.eos import IdealGas
 from unihydro.errors import MeshTangled, SolverFailure
-from unihydro.mesh import Mesh1D, _greatest, _least, build, cell_thermo, update_geometry
+from unihydro.mesh import Mesh1D, _greatest, _least, cell_thermo, update_geometry
+from unihydro.problems import BoundaryCondition, ProblemSpec, Region, build_initial
 
 GAS = IdealGas(1.4)
 
 
-def uniform_init(x):
-    return np.ones_like(x), np.zeros_like(x), np.ones_like(x)
+def spec(*regions, domain=(0.0, 1.0)):
+    return ProblemSpec(name="test", domain=domain, t_end=0.1, gamma=1.4, regions=regions,
+                       bc_left=BoundaryCondition.transmissive(),
+                       bc_right=BoundaryCondition.transmissive(),
+                       reference="self_converged")
 
 
-def sod_init(x):
-    left = x < 0.5
-    rho = np.where(left, 1.0, 0.125)
-    p = np.where(left, 1.0, 0.1)
-    return rho, np.zeros_like(x), p
+UNIFORM = spec(Region(0.0, 1.0, rho=1.0, u=0.0, p=1.0))
 
 
 class TestBuild:
     def test_uniform_cell_masses(self):
-        mesh, _ = build((0.0, 1.0), 10, uniform_init, "sgh", GAS)
+        mesh, _ = build_initial(UNIFORM, 10, "sgh")
         np.testing.assert_allclose(mesh.cell_mass, 0.1, rtol=1e-12)
 
     def test_uniform_node_masses(self):
-        mesh, _ = build((0.0, 1.0), 10, uniform_init, "sgh", GAS)
+        mesh, _ = build_initial(UNIFORM, 10, "sgh")
         np.testing.assert_allclose(mesh.node_mass[1:-1], 0.1, rtol=1e-12)
         np.testing.assert_allclose(mesh.node_mass[[0, -1]], 0.05, rtol=1e-12)
 
     def test_sod_two_cells(self):
-        mesh, _ = build((0.0, 1.0), 2, sod_init, "sgh", GAS)
+        mesh, _ = build_initial(uh.sod(), 2, "sgh")
         np.testing.assert_allclose(mesh.cell_mass, [0.5, 0.0625], rtol=1e-12)
 
     def test_mass_sums_agree(self):
-        mesh, _ = build((0.0, 1.0), 7, sod_init, "cch", GAS)
+        mesh, _ = build_initial(uh.sod(), 7, "cch")
         assert np.sum(mesh.node_mass) == pytest.approx(np.sum(mesh.cell_mass), rel=1e-14)
         interior = mesh.subcell_mass_right[:-1] + mesh.subcell_mass_left[1:]
         np.testing.assert_allclose(mesh.node_mass[1:-1], interior, rtol=1e-14)
 
     def test_rejects_too_few_cells(self):
-        with pytest.raises(ValueError):
-            build((0.0, 1.0), 1, uniform_init, "sgh", GAS)
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            build_initial(UNIFORM, 1, "sgh")
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown state kind"):
+            build_initial(UNIFORM, 4, "fvm")
 
     def test_rejects_non_finite_data(self):
-        def bad(x):
-            rho = np.ones_like(x)
-            rho[0] = np.nan
-            return rho, np.zeros_like(x), np.ones_like(x)
-        with pytest.raises(ValueError):
-            build((0.0, 1.0), 4, bad, "sgh", GAS)
+        """(gamma - 1) rho e overflows to an infinite pressure."""
+        overflowing = spec(Region(0.0, 1.0, rho=10.0, u=0.0, e=1e308))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite initial p"):
+            build_initial(overflowing, 4, "sgh")
 
     def test_rejects_empty_domain(self):
-        with pytest.raises(ValueError):
-            build((1.0, 1.0), 4, uniform_init, "sgh", GAS)
+        with pytest.raises(ValueError, match="nonempty interval"):
+            build_initial(spec(Region(1.0, 1.0, rho=1.0, u=0.0, p=1.0), domain=(1.0, 1.0)),
+                          4, "sgh")
 
     def test_cch_energy_consistency(self):
-        def moving(x):
-            return np.ones_like(x), np.full_like(x, 0.7), np.ones_like(x)
-        _, state = build((0.0, 1.0), 6, moving, "cch", GAS)
+        _, state = build_initial(spec(Region(0.0, 1.0, rho=1.0, u=0.7, p=1.0)), 6, "cch")
         np.testing.assert_array_equal(state.eps, state.E - 0.5 * state.u ** 2)
+
+    def test_rejects_underflowing_mass(self):
+        tiny = spec(Region(0.0, 1e-300, rho=1e-30, u=0.0, p=1.0), domain=(0.0, 1e-300))
+        with pytest.raises(ValueError, match="cell_mass must be strictly positive"):
+            build_initial(tiny, 2, "cch")
+
+    def test_rejects_nodes_out_of_order(self):
+        """Subnormal node spacing rounds some cells to zero width."""
+        subnormal = spec(Region(0.0, 1e-323, rho=1.0, u=0.0, p=1.0), domain=(0.0, 1e-323))
+        with pytest.raises(MeshTangled, match="node ordering"):
+            build_initial(subnormal, 10, "cch")
+
+    def test_rejects_overflowing_node_velocity(self):
+        """The interface node averages two finite velocities whose sum overflows."""
+        fast = spec(Region(0.0, 0.5, rho=1.0, u=1.7e308, p=1.0),
+                    Region(0.5, 1.0, rho=1.0, u=1.7e308, p=1.0))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="node velocity"):
+            build_initial(fast, 10, "sgh")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rho", np.nan, "non-finite initial rho"),
+        ("u", np.inf, "non-finite initial u"),
+        ("rho", -1.0, "initial density must be positive"),
+        ("p", -1.0, "initial pressure must be nonnegative"),
+    ])
+    def test_rejects_bad_sampled_data(self, monkeypatch, field, value, message):
+        """``Region`` rejects such data when a spec is made, so a patched sampler
+        stands in for a spec that carries it."""
+        sample = ProblemSpec.primitives_at
+
+        def bad(problem, x):
+            fields = dict(zip(("rho", "u", "p"), sample(problem, x)))
+            fields[field][0] = value
+            return fields["rho"], fields["u"], fields["p"]
+
+        monkeypatch.setattr(ProblemSpec, "primitives_at", bad)
+        with pytest.raises(ValueError, match=message):
+            build_initial(UNIFORM, 4, "sgh")
 
 
 class TestUpdateGeometry:

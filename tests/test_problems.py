@@ -4,8 +4,61 @@ import numpy as np
 import pytest
 
 import unihydro as uh
-from unihydro.problems import (BoundaryCondition, ProblemSpec, build_initial,
-                               by_name, exact_riemann_star, sample_reference)
+from unihydro.eos import IdealGas
+from unihydro.mesh import CchState, Mesh1D, SghState
+from unihydro.problems import (PROBLEM_NAMES, BoundaryCondition, ProblemSpec, Region,
+                               build_initial, by_name, exact_riemann_star,
+                               sample_reference)
+
+
+def two_stage_build(problem, n_cells, method):
+    """The construction ``build_initial`` replaced, kept as its reference: a
+    uniform mesh with every primitive sampled at the cell centres (and, for the
+    staggered state, again at the nodes), the node velocities then sampled a
+    second time with interface averaging, and for a center deposit p, c and E
+    recomputed after it."""
+    gas = IdealGas(problem.gamma)
+    a, b = float(problem.domain[0]), float(problem.domain[1])
+    mid = 0.5 * (a + b)
+    offsets = np.linspace(a, b, n_cells + 1) - mid
+    node_x = mid + 0.5 * (offsets - offsets[::-1])
+    centers = 0.5 * (node_x[:-1] + node_x[1:])
+    rho, u, p = (np.array(q, dtype=float) for q in problem.primitives_at(centers))
+    mesh = Mesh1D.from_nodes(node_x, rho)
+    eps = np.asarray(gas.internal_energy(rho, p), dtype=float)
+    c = np.asarray(gas.sound_speed(rho, p), dtype=float)
+    if method == "sgh":
+        node_u = np.array(problem.primitives_at(node_x)[1], dtype=float)  # sampled once
+        node_u[:] = problem.primitives_at(node_x)[1]                      # and again
+        width = problem.domain[1] - problem.domain[0]
+        for left, right in zip(problem.regions[:-1], problem.regions[1:]):
+            node_u[np.abs(node_x - left.x_hi) <= 1e-12 * width] = 0.5 * (left.u + right.u)
+        state = SghState(node_u, rho, eps, p, c)
+    else:
+        state = CchState(rho, u, eps + 0.5 * u ** 2, eps, p, c)
+    if problem.center_energy is not None:
+        if n_cells % 2 == 0:
+            targets = (n_cells // 2 - 1, n_cells // 2)
+        else:
+            targets = (n_cells // 2,)
+        share = problem.center_energy / len(targets)
+        for j in targets:
+            state.eps[j] = share / mesh.cell_mass[j]
+        state.p[:] = gas.pressure(state.rho, state.eps)
+        state.c[:] = gas.sound_speed(state.rho, state.p)
+        if method == "cch":
+            state.E[:] = state.eps + 0.5 * state.u ** 2
+    return mesh, state
+
+
+# smooth densities on both sides of an interface, the second region given by its
+# internal energy, moving regions and a center deposit
+EXPR_SPEC = ProblemSpec(
+    name="expr", domain=(-1.0, 2.0), t_end=0.1, gamma=1.4,
+    regions=(Region(-1.0, 0.5, rho=1.0, u=0.3, p=1.0, rho_expr="1 + 0.5*cos(3*x)"),
+             Region(0.5, 2.0, rho=1.0, u=-0.2, e=2.0, rho_expr="2 + sin(x)**2")),
+    bc_left=BoundaryCondition.transmissive(), bc_right=BoundaryCondition.transmissive(),
+    reference="self_converged", center_energy=5.0)
 
 
 class TestDefinitions:
@@ -81,9 +134,18 @@ class TestDefinitions:
 
 
 class TestBuildInitial:
-    def test_sod_masses(self):
-        mesh, _ = build_initial(uh.sod(), 2, "sgh")
-        np.testing.assert_allclose(mesh.cell_mass, [0.5, 0.0625], rtol=1e-12)
+    @pytest.mark.parametrize("n", [99, 100])
+    @pytest.mark.parametrize("method", ["sgh", "cch"])
+    @pytest.mark.parametrize("name", [*PROBLEM_NAMES, "rho_expr"])
+    def test_matches_two_stage_build(self, name, method, n):
+        problem = EXPR_SPEC if name == "rho_expr" else by_name(name)
+        got = build_initial(problem, n, method)
+        want = two_stage_build(problem, n, method)
+        for new, old in zip(got, want):
+            assert type(new) is type(old)
+            for field, value in vars(old).items():
+                assert getattr(new, field).dtype == value.dtype, field
+                assert getattr(new, field).tobytes() == value.tobytes(), field
 
     def test_interface_node_velocity_averages(self):
         # node exactly on the region edge takes the mean of the two sides

@@ -132,7 +132,7 @@ class TestCorrectorStep:
         np.testing.assert_array_equal(report.entropy_production, 0.0)
 
     def test_shock_position_matches_predictor_only(self):
-        from unihydro.diagnostics import crossing_position
+        from oracles import crossing_position
         positions = {}
         for mode in ("predictor_only", "predictor_corrector"):
             result = uh.run(uh.RunConfig(problem="sod", method="sgh",
