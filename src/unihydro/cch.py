@@ -53,41 +53,35 @@ class CchStepReport:
     expansion: np.ndarray | None = None  # None: expanding cells produce entropy too
 
 
-def _one_sided_star(rho, c, p, u, u_star, gamma: float, side: str, solver: str):
-    """Star pressure at a boundary node with a prescribed velocity.
-
-    ``side`` says which side of the cell the node sits on. The quadratic form
-    is kept when the one-sided admissibility bound holds. Otherwise a
-    compressed cell gets the two-shock relation, which is the same
-    ``linear + k rho d^2`` with impedance z + k rho |d|, and an expanding one
-    the linear relation; either way the boundary entropy contribution stays
-    nonnegative.
-    """
-    z = rho * c
-    d = u - u_star if side == "left" else u_star - u   # < 0 compresses the cell
-    if solver == "acoustic":
-        return p - z * d, ACOUSTIC
-    k = 0.5 * (gamma + 1.0)
-    accepted = closure._admissible(c, d, k)
-    if accepted or d < 0.0:
-        return closure.star_pressure(p, z, rho, d, k), QUADRATIC if accepted else ACOUSTIC
-    return p - z * d, ACOUSTIC
-
-
 def _boundary_node(bc: BoundaryCondition, rho, c, p, u, gamma: float,
                    solver: str, side: str):
-    """(u_star, ps_left, ps_right, order) for one boundary node."""
+    """(u_star, ps_left, ps_right, order) for one boundary node.
+
+    ``side`` says which side of the cell the node sits on. With a prescribed
+    velocity the quadratic one-sided relation is kept when its admissibility
+    bound holds. Otherwise a compressed cell gets the two-shock relation, which
+    is the same ``linear + k rho d^2`` with impedance z + k rho |d|, and an
+    expanding one the linear relation; either way the boundary entropy
+    contribution stays nonnegative.
+    """
     if bc.kind == "transmissive":
         # identical ghost state: the star state is the cell state exactly
         return u, p, p, ACOUSTIC
-    if bc.velocity is not None:
-        ps, order = _one_sided_star(rho, c, p, u, bc.velocity, gamma, side, solver)
-        return bc.velocity, ps, ps, order
-    # prescribed pressure: invert the linear one-sided relation for u*
     z = rho * c
-    sgn = 1.0 if side == "left" else -1.0
-    ub = u + sgn * (float(bc.value) - p) / z
-    return ub, float(bc.value), float(bc.value), ACOUSTIC
+    if bc.velocity is None:
+        # prescribed pressure: invert the linear one-sided relation for u*
+        sgn = 1.0 if side == "left" else -1.0
+        ub = u + sgn * (float(bc.value) - p) / z
+        return ub, float(bc.value), float(bc.value), ACOUSTIC
+    d = u - bc.velocity if side == "left" else bc.velocity - u   # < 0 compresses the cell
+    k = 0.5 * (gamma + 1.0)
+    quadratic = solver != "acoustic"
+    accepted = quadratic and closure._admissible(c, d, k)
+    if accepted or (quadratic and d < 0.0):
+        ps = closure.star_pressure(p, z, rho, d, k)
+    else:
+        ps = p - z * d
+    return bc.velocity, ps, ps, QUADRATIC if accepted else ACOUSTIC
 
 
 def solve_all_nodes(state: CchState, gas: IdealGas, bc_left: BoundaryCondition,

@@ -76,7 +76,6 @@ class RunResult:
     steps: int
     t_final: float
     wall_time: float
-    status: str = "success"
 
 
 def _cfl_candidate(state, mesh, cfl: float) -> float:
@@ -214,7 +213,7 @@ def _write_summary(config: RunConfig, result: RunResult):
     stem = os.path.join(config.out, _run_stem(config, result.problem))
     led = result.ledger
     lines = {
-        "status": result.status,
+        "status": "success",
         "problem": result.problem.name,
         "method": config.method,
         "n_cells": config.n_cells,
@@ -291,16 +290,12 @@ def run_convergence(config: RunConfig, n_list, n_reference: int = 3200) -> Conve
         errs = {f: diag.l1_error(num[f], ref[f], vols) for f in FIELDS}
         table.rows.append((int(n), errs))
 
-    if len(table.rows) >= 2:
-        ns = [r[0] for r in table.rows]
-        for f in FIELDS:
-            errors = [r[1][f] for r in table.rows]
-            try:
-                table.orders[f] = diag.convergence_order(ns, errors)
-            except ValueError:
-                table.orders[f] = None
-    else:
-        table.orders = {f: None for f in FIELDS}
+    ns = [r[0] for r in table.rows]
+    for f in FIELDS:
+        try:
+            table.orders[f] = diag.convergence_order(ns, [r[1][f] for r in table.rows])
+        except ValueError:   # fewer than two distinct resolutions, or a zero error
+            table.orders[f] = None
     return table
 
 

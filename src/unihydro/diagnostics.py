@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 ENTROPY_TOL = 1e-12
+CONSERVATION_TOL = 1e-9   # relative momentum/energy residual the audit allows
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class ConservationLedger:
     energy_scale: float = 0.0
     steps: int = 0
     violations: list = field(default_factory=list)
-    tolerance: float = 1e-9
 
     @classmethod
     def open(cls, mesh: Mesh1D, state) -> "ConservationLedger":
@@ -115,8 +115,8 @@ def audit_step(ledger: ConservationLedger, mesh: Mesh1D, state,
     ledger.steps += 1
     ledger._update_scales(state)
     if (ledger.mass_drift != 0.0
-            or ledger.momentum_residual_rel > ledger.tolerance
-            or ledger.energy_residual_rel > ledger.tolerance):
+            or ledger.momentum_residual_rel > CONSERVATION_TOL
+            or ledger.energy_residual_rel > CONSERVATION_TOL):
         ledger.violations.append({
             "step": ledger.steps,
             "mass_drift": ledger.mass_drift,

@@ -1,4 +1,4 @@
-"""1D Lagrangian grid: node coordinates and the frozen cell/node/sub-cell masses.
+"""1D Lagrangian grid: node coordinates and the frozen cell and node masses.
 
 Masses are fixed at build time and shared (read-only) across all steps; density
 is always recovered as mass / current volume, which conserves mass exactly.
@@ -40,15 +40,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Mesh1D:
     """Node positions plus constant Lagrangian masses.
 
-    node_mass[j] = subcell_mass_right[j-1] + subcell_mass_left[j] for interior
-    nodes; the boundary nodes carry a single sub-cell mass.
+    node_mass[j] is the mass of the half cells either side of node j; the
+    boundary nodes carry a single half cell.
     """
 
-    node_x: np.ndarray            # N+1 node positions
-    cell_mass: np.ndarray         # N cell masses
-    node_mass: np.ndarray         # N+1 dual-cell masses
-    subcell_mass_left: np.ndarray   # N left sub-cell masses
-    subcell_mass_right: np.ndarray  # N right sub-cell masses
+    node_x: np.ndarray     # N+1 node positions
+    cell_mass: np.ndarray  # N cell masses
+    node_mass: np.ndarray  # N+1 dual-cell masses
 
     @property
     def n_cells(self) -> int:
@@ -65,14 +63,13 @@ class Mesh1D:
     def validate(self):
         if np.any(np.diff(self.node_x) <= 0.0):
             raise MeshTangled("tangled mesh: node ordering violated")
-        for name in ("cell_mass", "node_mass", "subcell_mass_left", "subcell_mass_right"):
+        for name in ("cell_mass", "node_mass"):
             if np.any(getattr(self, name) <= 0.0):
                 raise ValueError(f"{name} must be strictly positive")
 
     def replace_nodes(self, node_x: np.ndarray) -> "Mesh1D":
         """New mesh on ``node_x``, which it makes read-only; masses are shared."""
-        return Mesh1D(_frozen(node_x), self.cell_mass,
-                      self.node_mass, self.subcell_mass_left, self.subcell_mass_right)
+        return Mesh1D(_frozen(node_x), self.cell_mass, self.node_mass)
 
     @classmethod
     def from_nodes(cls, node_x, cell_rho=1.0) -> "Mesh1D":
@@ -87,8 +84,7 @@ class Mesh1D:
         node_mass[0] = m_left[0]
         node_mass[-1] = m_right[-1]
         node_mass[1:-1] = m_right[:-1] + m_left[1:]
-        return cls(node_x, _frozen(cell_mass), _frozen(node_mass),
-                   _frozen(m_left), _frozen(m_right))
+        return cls(node_x, _frozen(cell_mass), _frozen(node_mass))
 
 
 @dataclass(eq=False)

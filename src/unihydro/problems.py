@@ -115,7 +115,8 @@ class Region:
         if (self.p is None) == (self.e is None):
             raise ValueError("region needs exactly one of p or e")
         energy = "p" if self.e is None else "e"
-        for name, ok in (("rho", 0.0 < self.rho < np.inf), ("u", abs(self.u) < np.inf),
+        # u: the kinetic energy u^2/2 a cell-centered state carries must be finite
+        for name, ok in (("rho", 0.0 < self.rho < np.inf), ("u", 0.5 * self.u * self.u < np.inf),
                          (energy, 0.0 <= getattr(self, energy) < np.inf)):
             if not ok:
                 raise ValueError(f"region {name} out of range: {getattr(self, name)}")
@@ -156,6 +157,8 @@ class ProblemSpec:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if not 1.0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and > 1, got {self.gamma}")
+        if not (self.center_energy is None or 0.0 <= self.center_energy < np.inf):
+            raise ValueError(f"center_energy must be finite and >= 0, got {self.center_energy}")
         if self.reference not in ("exact_riemann", "self_converged"):
             raise ValueError(f"unknown reference kind {self.reference!r}")
         lo, hi = self.domain

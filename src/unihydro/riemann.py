@@ -89,23 +89,29 @@ class RiemannSolution:
         left, right = self.left, self.right
         cl = left.sound_speed(g)
         cr = right.sound_speed(g)
+        split, tail_l, tail_r = self.u_star, None, None
         if self.vacuum:
-            return self._sample_vacuum(s, cl, cr)
-        if s < self.u_star:
-            return self._sample_side(s, left, cl, sign=+1.0)
-        return self._sample_side(s, right, cr, sign=-1.0)
+            # each side is a rarefaction to p = 0 whose tail is its vacuum front
+            tail_l = left.u + 2.0 * cl / (g - 1.0)
+            tail_r = right.u - 2.0 * cr / (g - 1.0)
+            if tail_l <= s <= tail_r:
+                return 0.0, 0.5 * (tail_l + tail_r), 0.0
+            split = tail_l
+        if s < split:
+            return self._sample_side(s, left, cl, +1.0, tail_l)
+        return self._sample_side(s, right, cr, -1.0, tail_r)
 
-    def _sample_side(self, s, state, c, sign):
+    def _sample_side(self, s, state, c, sign, tail=None):
         """Sample left (sign=+1) or right (sign=-1) of the contact.
 
         Works in a mirrored frame where the wave always moves to the left;
-        velocities are mirrored in and out with ``sign``.
+        velocities are mirrored in and out with ``sign``. ``tail`` is the
+        velocity of a rarefaction's tail, u* -/+ c* when not given.
         """
         g = self.gamma
         ps, us = self.p_star, self.u_star
         sr = sign * s
         ur = sign * state.u
-        usr = sign * us
         if ps > state.p:  # shock wave
             ms = np.sqrt((g + 1.0) / (2.0 * g) * ps / state.p + (g - 1.0) / (2.0 * g))
             shock_speed = ur - c * ms
@@ -115,12 +121,12 @@ class RiemannSolution:
                                     / ((g - 1.0) / (g + 1.0) * ps / state.p + 1.0))
             return rho_star, us, ps
         # rarefaction fan between head and tail
-        c_star = c * (ps / state.p) ** ((g - 1.0) / (2.0 * g))
+        if tail is None:
+            tail = us - sign * c * (ps / state.p) ** ((g - 1.0) / (2.0 * g))
         head = ur - c
-        tail = usr - c_star
         if sr <= head:
             return state.rho, state.u, state.p
-        if sr >= tail:
+        if sr >= sign * tail:
             rho_star = state.rho * (ps / state.p) ** (1.0 / g)
             return rho_star, us, ps
         cf = (2.0 / (g + 1.0)) * (c + 0.5 * (g - 1.0) * (ur - sr))
@@ -128,29 +134,6 @@ class RiemannSolution:
         rho_f = state.rho * (cf / c) ** (2.0 / (g - 1.0))
         p_f = state.p * (cf / c) ** (2.0 * g / (g - 1.0))
         return rho_f, sign * uf, p_f
-
-    def _sample_vacuum(self, s, cl, cr):
-        g = self.gamma
-        left, right = self.left, self.right
-        s_head_l = left.u - cl
-        s_tail_l = left.u + 2.0 * cl / (g - 1.0)   # vacuum front from the left
-        s_head_r = right.u + cr
-        s_tail_r = right.u - 2.0 * cr / (g - 1.0)  # vacuum front from the right
-        if s <= s_head_l:
-            return left.rho, left.u, left.p
-        if s < s_tail_l:
-            cf = (2.0 / (g + 1.0)) * (cl + 0.5 * (g - 1.0) * (left.u - s))
-            uf = (2.0 / (g + 1.0)) * (cl + 0.5 * (g - 1.0) * left.u + s)
-            return (left.rho * (cf / cl) ** (2.0 / (g - 1.0)), uf,
-                    left.p * (cf / cl) ** (2.0 * g / (g - 1.0)))
-        if s <= s_tail_r:
-            return 0.0, 0.5 * (s_tail_l + s_tail_r), 0.0
-        if s < s_head_r:
-            cf = (2.0 / (g + 1.0)) * (cr - 0.5 * (g - 1.0) * (right.u - s))
-            uf = (2.0 / (g + 1.0)) * (-cr + 0.5 * (g - 1.0) * right.u + s)
-            return (right.rho * (cf / cr) ** (2.0 / (g - 1.0)), uf,
-                    right.p * (cf / cr) ** (2.0 * g / (g - 1.0)))
-        return right.rho, right.u, right.p
 
 
 def solve(left: PrimitiveState, right: PrimitiveState, gamma: float,

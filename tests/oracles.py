@@ -3,9 +3,10 @@
 Test code, not public API: the exact shock adiabat and isentrope of an ideal
 gas through a reference state, the quadratic Taylor expansion of pressure in
 the specific-volume change that the closure is built on (it touches both
-curves to second order), and two measures of a computed profile: where it
-crosses a level and how many prominent peaks it has. The package needs none
-of them to run.
+curves to second order), two measures of a computed profile (where it
+crosses a level and how many prominent peaks it has), and a separate sampler
+of the exact Riemann fan for states that open a vacuum. The package needs
+none of them to run.
 """
 
 from dataclasses import dataclass
@@ -121,3 +122,31 @@ def count_extrema(q, min_prominence: float) -> int:
         if q[i] - max(left_min, right_min) >= min_prominence:
             count += 1
     return count
+
+
+def sample_vacuum(solution, s: float):
+    """(rho, u, p) at xi = s of a Riemann solution that opens a vacuum: the
+    left fan, the vacuum between the two fronts, the right fan, written out
+    side by side."""
+    g = solution.gamma
+    left, right = solution.left, solution.right
+    cl, cr = left.sound_speed(g), right.sound_speed(g)
+    s_head_l = left.u - cl
+    s_tail_l = left.u + 2.0 * cl / (g - 1.0)   # vacuum front from the left
+    s_head_r = right.u + cr
+    s_tail_r = right.u - 2.0 * cr / (g - 1.0)  # vacuum front from the right
+    if s <= s_head_l:
+        return left.rho, left.u, left.p
+    if s < s_tail_l:
+        cf = (2.0 / (g + 1.0)) * (cl + 0.5 * (g - 1.0) * (left.u - s))
+        uf = (2.0 / (g + 1.0)) * (cl + 0.5 * (g - 1.0) * left.u + s)
+        return (left.rho * (cf / cl) ** (2.0 / (g - 1.0)), uf,
+                left.p * (cf / cl) ** (2.0 * g / (g - 1.0)))
+    if s <= s_tail_r:
+        return 0.0, 0.5 * (s_tail_l + s_tail_r), 0.0
+    if s < s_head_r:
+        cf = (2.0 / (g + 1.0)) * (cr - 0.5 * (g - 1.0) * (right.u - s))
+        uf = (2.0 / (g + 1.0)) * (-cr + 0.5 * (g - 1.0) * right.u + s)
+        return (right.rho * (cf / cr) ** (2.0 / (g - 1.0)), uf,
+                right.p * (cf / cr) ** (2.0 * g / (g - 1.0)))
+    return right.rho, right.u, right.p

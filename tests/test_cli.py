@@ -377,14 +377,20 @@ class TestCommandLine:
         (lambda spec: spec.update(gamma=1.0), "gamma"),
         (lambda spec: spec["regions"][1].update(rho=-0.125), "rho"),
         (lambda spec: spec["regions"][0].update(rho_expr="x - 1"), "rho_expr"),
-    ], ids=["unknown_region_key", "gamma_one", "negative_density", "negative_density_expr"])
+        (lambda spec: spec["regions"][0].update(u=1e200), "region u"),
+        (lambda spec: spec.update(center_energy=-5.0), "center_energy"),
+        (lambda spec: spec.update(center_energy=float("nan")), "center_energy"),
+    ], ids=["unknown_region_key", "gamma_one", "negative_density", "negative_density_expr",
+            "kinetic_energy_overflow", "negative_center_energy", "nan_center_energy"])
     def test_bad_spec_file_is_config_error(self, tmp_path, capsys, edit, named):
         spec = uh.sod().to_dict()
         edit(spec)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
-        assert cli.main(["run", "--problem", f"@{path}", "--cells", "10"]) == 3
-        assert named in capsys.readouterr().err
+        for method in ("sgh", "cch"):
+            argv = ["run", "--problem", f"@{path}", "--cells", "10", "--method", method]
+            assert cli.main(argv) == 3
+            assert named in capsys.readouterr().err
 
     def test_solver_failure_exit_code(self, capsys):
         code = cli.main(["run", "--problem", "sedov", "--method", "cch",

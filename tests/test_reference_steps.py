@@ -8,8 +8,9 @@ keeps the earlier entropy monitor. Both sides run 50 steps from the same
 state with the same dt; every field, the production, the scale, the
 boundary flux, the CFL candidate and the monitor must agree bit for bit.
 Helpers the change left alone (``closure._quadratic_kernel``, which has its
-own reference test, the SGH star pressure and accelerations, the boundary
-nodes) are shared.
+own reference test, the SGH star pressure, ghost pressure and boundary flux,
+the CCH boundary nodes) are shared; the SGH reference forms the dual-cell
+force and the time-centered velocity itself.
 """
 
 import numpy as np
@@ -42,8 +43,7 @@ def ref_update_geometry(mesh, u_star, dt):
     new_x = mesh.node_x + np.asarray(u_star, dtype=float) * dt
     if np.any(new_x[1:] - new_x[:-1] <= 0.0):
         raise MeshTangled("mesh tangling", cell=int(np.argmax(new_x[1:] - new_x[:-1] <= 0.0)))
-    return Mesh1D(new_x, mesh.cell_mass, mesh.node_mass,
-                  mesh.subcell_mass_left, mesh.subcell_mass_right)
+    return Mesh1D(new_x, mesh.cell_mass, mesh.node_mass)
 
 
 def ref_volumes(mesh):
@@ -123,9 +123,11 @@ def ref_sgh_advance(base_state, base_mesh, work_state, gas, dt, bc_left, bc_righ
                                        gas.gamma)
     p_bnd_l = sgh._ghost_pressure(bc_left, p_star[0])
     p_bnd_r = sgh._ghost_pressure(bc_right, p_star[-1])
-    alpha = sgh.nodal_acceleration(p_star, base_mesh.node_mass, p_bnd_l, p_bnd_r)
+    force = np.empty(len(p_star) + 1)
+    force[0], force[-1] = p_bnd_l - p_star[0], p_star[-1] - p_bnd_r
+    force[1:-1] = p_star[:-1] - p_star[1:]
     u_n = base_state.node_u
-    u_star = sgh.half_step_velocity(u_n, alpha, dt)
+    u_star = u_n + 0.5 * dt * (force / base_mesh.node_mass)
     u_new = 2.0 * u_star - u_n
     if bc_left.velocity is not None:
         u_star[0] = u_new[0] = bc_left.velocity

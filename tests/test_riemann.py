@@ -128,3 +128,40 @@ class TestSampling:
         assert rho[0] == 0.0 and p[0] == 0.0
         rho, u, p = sol.sample([-50.0])
         assert (rho[0], u[0], p[0]) == (1.0, -10.0, 0.4)
+
+    @pytest.mark.parametrize("left, right, gamma", [
+        ((1.0, -10.0, 0.4), (1.0, 10.0, 0.4), 1.4),
+        ((1.0, -3.0, 1.0), (0.2, 12.0, 0.05), 1.4),
+        ((0.3, -8.0, 0.02), (2.0, 4.0, 1.5), 5.0 / 3.0),
+    ], ids=["symmetric", "asymmetric", "asymmetric_monatomic"])
+    def test_vacuum_profile_matches_side_by_side_sampler(self, left, right, gamma):
+        """The fan sampler shared with non-vacuum solutions gives, bit for bit,
+        the profile of a sampler written for the vacuum case alone."""
+        from oracles import sample_vacuum
+        sol = solve(PrimitiveState(*left), PrimitiveState(*right), gamma)
+        assert sol.vacuum
+        xi = np.linspace(-40.0, 40.0, 20_001)
+        expected = np.array([sample_vacuum(sol, float(s)) for s in xi]).T
+        assert np.array(sol.sample(xi)).tobytes() == expected.tobytes()
+
+    def test_zero_pressure_side_front_is_vacuum(self):
+        """A side at p = 0 has no fan: its state reaches its front u and the
+        vacuum starts there. Exactly on the front both sides give the vacuum
+        state (the side-by-side sampler gave the left state on the left
+        front and the vacuum on the right one); elsewhere the profile agrees
+        bit for bit."""
+        from oracles import sample_vacuum
+        for left, right in (((1.0, -1.0, 0.0), (1.0, 8.0, 1.0)),
+                            ((1.0, -8.0, 1.0), (1.0, 1.0, 0.0))):
+            sol = solve(PrimitiveState(*left), PrimitiveState(*right), 1.4)
+            xi = np.linspace(-40.0, 40.0, 20_001)   # holds -1.0 and 1.0 exactly
+            profile = np.array(sol.sample(xi))
+            expected = np.array([sample_vacuum(sol, float(s)) for s in xi]).T
+            differ = np.flatnonzero((profile != expected).any(axis=0))
+            assert xi[differ].tolist() == ([-1.0] if left[2] == 0.0 else [])
+            front = left[1] if left[2] == 0.0 else right[1]
+            rho, u, p = sol.sample([front])
+            assert (rho[0], p[0]) == (0.0, 0.0)
+            front_l = sol.left.u + 2.0 * sol.left.sound_speed(1.4) / (1.4 - 1.0)
+            front_r = sol.right.u - 2.0 * sol.right.sound_speed(1.4) / (1.4 - 1.0)
+            assert u[0] == 0.5 * (front_l + front_r)

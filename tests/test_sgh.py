@@ -1,5 +1,6 @@
-"""Staggered-grid stepper tests: accelerations, the predictor/corrector
-passes, conservation telescopes, and the entropy branches."""
+"""Staggered-grid stepper tests: accelerations and time-centered velocities,
+the predictor/corrector passes, conservation telescopes, and the entropy
+branches, all through ``sgh.step``."""
 
 import numpy as np
 import pytest
@@ -27,45 +28,79 @@ def uniform_mesh(n, span=(0.0, 1.0)):
     return Mesh1D.from_nodes(np.linspace(span[0], span[1], n + 1))
 
 
+def two_cell_jump(u=0.0):
+    """Cells of width 0.1 and density 1 (node masses 0.05/0.1/0.05) at
+    pressures 2 and 1, all nodes at velocity ``u``: the star pressures are the
+    cell pressures and the middle node accelerates at (2 - 1) / 0.1 = 10."""
+    p = np.array([2.0, 1.0])
+    rho = np.ones(2)
+    state = SghState(np.full(3, u), rho, GAS.internal_energy(rho, p), p,
+                     np.asarray(GAS.sound_speed(rho, p)))
+    return state, Mesh1D.from_nodes([0.0, 0.1, 0.2])
+
+
 class TestNodalAcceleration:
+    """Newton's law on the dual cells, seen through one ``sgh.step``."""
+
     def test_uniform_pressure_gives_zero(self):
-        alpha = sgh.nodal_acceleration(np.full(4, 0.7), np.full(5, 0.1), 0.7, 0.7)
-        np.testing.assert_array_equal(alpha, 0.0)
+        state = uniform_state(4, p=0.7)
+        bc = BoundaryCondition.prescribed_pressure(0.7)
+        _, new_state, report = sgh.step(state, uniform_mesh(4), GAS, 1e-3, bc, bc)
+        np.testing.assert_array_equal(report.u_star, 0.0)
+        np.testing.assert_array_equal(new_state.node_u, 0.0)
 
     def test_interior_value(self):
         # higher pressure on the left pushes the node to the right
-        alpha = sgh.nodal_acceleration([2.0, 1.0], [0.1, 0.1, 0.1], 2.0, 1.0)
-        assert alpha[1] == pytest.approx(10.0, rel=1e-14)
+        state, mesh = two_cell_jump()
+        dt = 1e-4
+        _, new_state, _ = sgh.step(state, mesh, GAS, dt, TRANSMISSIVE, TRANSMISSIVE)
+        assert mesh.node_mass[1] == pytest.approx(0.1, rel=1e-14)
+        assert new_state.node_u[1] / dt == pytest.approx(10.0, rel=1e-12)
+        # transmissive ends see their own star pressure: no force
+        assert new_state.node_u[0] == new_state.node_u[2] == 0.0
 
     def test_wall_keeps_node_fixed(self):
         state = uniform_state(4, u=0.0)
         mesh = uniform_mesh(4)
         wall = BoundaryCondition.wall()
-        _, new_state, report = sgh.predictor_step(state, mesh, GAS, 1e-3, wall, wall)
+        _, new_state, report = sgh.step(state, mesh, GAS, 1e-3, wall, wall)
         assert report.u_star[0] == 0.0
         assert new_state.node_u[0] == 0.0
 
 
 class TestHalfStepVelocity:
+    """u* = u^n + (dt/2) force/m and u^{n+1} = 2 u* - u^n, through ``sgh.step``."""
+
     def test_zero_acceleration(self):
-        u = np.array([0.1, 0.2])
-        np.testing.assert_array_equal(sgh.half_step_velocity(u, np.zeros(2), 0.5), u)
+        # uniform pressure in an expanding flow: the star pressures stay uniform
+        state = uniform_state(4)
+        state.node_u[:] = np.linspace(0.1, 0.2, 5)
+        _, new_state, report = sgh.step(state, uniform_mesh(4), GAS, 0.5,
+                                        TRANSMISSIVE, TRANSMISSIVE)
+        np.testing.assert_array_equal(report.u_star, state.node_u)
+        np.testing.assert_array_equal(new_state.node_u, state.node_u)
 
     def test_value(self):
-        assert sgh.half_step_velocity(0.0, 10.0, 0.01) == pytest.approx(0.05)
+        state, mesh = two_cell_jump()
+        dt = 1e-4
+        _, _, report = sgh.step(state, mesh, GAS, dt, TRANSMISSIVE, TRANSMISSIVE)
+        assert report.u_star[1] == pytest.approx(0.5 * dt * 10.0, rel=1e-12)
 
     def test_full_step_recovery(self):
-        u, a, dt = 0.3, 2.0, 0.01
-        u_star = sgh.half_step_velocity(u, a, dt)
-        assert 2.0 * u_star - u == pytest.approx(u + a * dt, rel=1e-14)
+        state, mesh = two_cell_jump(u=0.3)
+        dt = 1e-4
+        _, new_state, report = sgh.step(state, mesh, GAS, dt, TRANSMISSIVE, TRANSMISSIVE)
+        np.testing.assert_array_equal(new_state.node_u, 2.0 * report.u_star - state.node_u)
+        assert new_state.node_u[1] == pytest.approx(0.3 + dt * 10.0, rel=1e-12)
 
 
 class TestPredictorStep:
+    """``sgh.step`` in its default predictor-only mode."""
+
     def test_uniform_flow_translates_only(self):
         state = uniform_state(8, u=0.4)
         mesh = uniform_mesh(8)
-        new_mesh, new_state, _ = sgh.predictor_step(state, mesh, GAS, 1e-3,
-                                                    TRANSMISSIVE, TRANSMISSIVE)
+        new_mesh, new_state, _ = sgh.step(state, mesh, GAS, 1e-3, TRANSMISSIVE, TRANSMISSIVE)
         np.testing.assert_allclose(new_mesh.node_x, mesh.node_x + 0.4e-3, rtol=1e-14)
         # velocities are untouched exactly; rho = m/V picks up round-off from
         # the shifted coordinates
@@ -79,8 +114,7 @@ class TestPredictorStep:
         state.node_u[3] = 0.2  # compresses cell 3, expands cell 2
         mesh = uniform_mesh(n)
         dt = 1e-6
-        _, new_state, report = sgh.predictor_step(state, mesh, GAS, dt,
-                                                  TRANSMISSIVE, TRANSMISSIVE)
+        _, new_state, report = sgh.step(state, mesh, GAS, dt, TRANSMISSIVE, TRANSMISSIVE)
         d_eps = new_state.eps - state.eps
         assert d_eps[3] > 0.0                      # compressed cell heats
         assert d_eps[0] == 0.0 and d_eps[6] == 0.0  # far cells untouched
@@ -94,7 +128,7 @@ class TestPredictorStep:
         mesh, state = uh.build_initial(problem, 100, "sgh")
         ledger = ConservationLedger.open(mesh, state)
         dt = 1e-4
-        new_mesh, new_state, report = sgh.predictor_step(
+        new_mesh, new_state, report = sgh.step(
             state, mesh, GAS, dt, problem.bc_left, problem.bc_right)
         audit_step(ledger, new_mesh, new_state, report.boundary)
         assert ledger.mass_drift == 0.0
@@ -107,7 +141,7 @@ class TestPredictorStep:
         state.node_u[:] = np.linspace(0.0, 40.0, 5)
         mesh = uniform_mesh(4)
         with pytest.raises(SolverFailure, match="internal energy"):
-            sgh.predictor_step(state, mesh, GAS, 0.1, TRANSMISSIVE, TRANSMISSIVE)
+            sgh.step(state, mesh, GAS, 0.1, TRANSMISSIVE, TRANSMISSIVE)
 
 
 class TestCorrectorStep:
