@@ -10,6 +10,10 @@ two-shock solve of ``closure._two_shock_kernel`` instead of the plain acoustic
 values: a linear force balance that keeps the ``k rho d^2`` compression term
 on a compressed side. Wall and prescribed-velocity boundary nodes follow the
 same rule. Such nodes are tagged ACOUSTIC (quadratic root rejected).
+The quadratic solve finds the correction to the acoustic guess u_ac as
+delta = -2 C' / (B' + sign(B') sqrt(D)) (see ``closure``), continuous through
+A = 0, so only rejected nodes without a real root test the |A| ~ 0 band. The
+interior star states are written straight into the N+1 nodal arrays.
 """
 
 from __future__ import annotations
@@ -91,9 +95,9 @@ def solve_all_nodes(state: CchState, gas: IdealGas, bc_left: BoundaryCondition,
     n_nodes = len(state.rho) + 1
     u_star, psl, psr = np.empty(n_nodes), np.empty(n_nodes), np.empty(n_nodes)
     order = np.empty(n_nodes, dtype=np.int8)
-    u_star[1:-1], psl[1:-1], psr[1:-1], order[1:-1] = closure.solve_nodes(
-        state.rho[:-1], state.c[:-1], state.p[:-1], state.u[:-1],
-        state.rho[1:], state.c[1:], state.p[1:], state.u[1:], gas.gamma, solver)
+    closure.solve_nodes(state.rho[:-1], state.c[:-1], state.p[:-1], state.u[:-1],
+                        state.rho[1:], state.c[1:], state.p[1:], state.u[1:], gas.gamma,
+                        solver, out=(u_star[1:-1], psl[1:-1], psr[1:-1], order[1:-1]))
     u_star[0], psl[0], psr[0], order[0] = _boundary_node(
         bc_left, state.rho[0], state.c[0], state.p[0], state.u[0], gas.gamma, solver, "left")
     u_star[-1], psl[-1], psr[-1], order[-1] = _boundary_node(

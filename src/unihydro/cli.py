@@ -139,14 +139,16 @@ def run(config: RunConfig) -> RunResult:
     snapshots = sorted(t for t in config.snapshot_times if t < t_end)
 
     t = 0.0
-    steps = 0
+    steps = budget_check = 0
     dt_prev: float | None = None
     started = _time.perf_counter()
     time_scale = max(t_end, 1.0)
     try:
         while t_end - t > 1e-14 * time_scale:
-            if steps >= _MAX_STEPS:
-                raise SolverFailure(f"exceeded {_MAX_STEPS} steps")
+            if steps >= budget_check:   # every 1,024 steps: can the CFL step reach t_end?
+                left, budget_check = _MAX_STEPS - steps, min(steps + 1024, _MAX_STEPS)
+                if not t_end - t <= left * _cfl_candidate(state, mesh, config.cfl):
+                    raise SolverFailure(f"t_end needs more than the {left} steps left at CFL")
             dt = compute_dt(state, mesh, config.cfl, dt_prev, config.dt_max,
                             config.dt_growth, t_end - t)
             if dt_prev is None:

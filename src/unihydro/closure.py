@@ -9,8 +9,17 @@ linear-plus-quadratic compression term; for the cell-centered method a nodal
 force balance gives either a linear (acoustic) solve or a quadratic solve with
 an admissibility test. Every one-sided star pressure is ``star_pressure``.
 
-``solve_nodes`` is the cell-centered nodal solve. Where the quadratic root is
-rejected it uses the two-shock solve ``_two_shock_kernel``: a linear force
+``solve_nodes`` is the cell-centered nodal solve. Its quadratic solve finds the
+correction delta = u* - u_ac to the acoustic guess u_ac (where the linear part
+of the balance vanishes) from A delta^2 + B' delta + C' = 0: A = k rl - k rr,
+B' = 2 (k rl dl0 + k rr dr0) - zl - zr, C' = k rl dl0^2 - k rr dr0^2, with the
+jumps dl0 = u_ac - ul, dr0 = ur - u_ac, z = rho c and k = (gamma+1)/2. The root
+delta = -2 C' / (B' + sign(B') sqrt(D)), D = B'^2 - 4 A C' (B' > 0 at a strongly
+expanding node), divides by no A and is continuous through A = 0, so only
+rejected nodes with D <= 0 test the band |A| ~ 0 (for the root of the linear
+part in u). A and C' flip sign under a mirror swap: bitwise mirror symmetry. A node
+is accepted where D > 0 and c >= k|d| on both sides, else it gets the two-shock
+solve ``_two_shock_kernel`` on the jumps already formed: a linear force
 balance whose impedance on a compressed side is ``rho c + k rho (compression)``,
 with the compression measured from the acoustic guess and k = (gamma+1)/2. This
 is the two-shock impedance of Dukowicz (J. Comput. Phys. 61, 1985), and it keeps
@@ -73,17 +82,17 @@ def _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur):
     return _linear_balance(rl * cl, pl, ul, rr * cr, pr, ur)
 
 
-def _two_shock_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac):
+def _two_shock_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, dl0, dr0):
     """Linear nodal solve with two-shock impedances from the acoustic guess.
 
-    A side compressed by the acoustic star velocity ``u_ac`` gets the
-    impedance rho c + k rho (compression), k = (gamma+1)/2; an expanding side
-    keeps rho c. Each side's entropy production w (u*-u)^2 is nonnegative, and
-    with no compressed side the result is bitwise that of ``_acoustic_kernel``.
+    A side compressed at the acoustic star velocity u_ac (jump ``dl0`` = u_ac - ul
+    or ``dr0`` = ur - u_ac below 0) gets the impedance rho c + k rho |d0|; an
+    expanding side keeps rho c. Each side's entropy production w (u*-u)^2 is
+    nonnegative; with no compressed side this is bitwise ``_acoustic_kernel``.
     """
     k = 0.5 * (gamma + 1.0)
-    wl = rl * cl + k * rl * np.maximum(ul - u_ac, 0.0)
-    wr = rr * cr + k * rr * np.maximum(u_ac - ur, 0.0)
+    wl = rl * cl - k * rl * np.minimum(dl0, 0.0)   # bitwise rho c + k rho max(-d0, 0)
+    wr = rr * cr - k * rr * np.minimum(dr0, 0.0)
     return _linear_balance(wl, pl, ul, wr, pr, ur)
 
 
@@ -92,63 +101,71 @@ def _admissible(c, d, k):
     return c >= k * np.abs(d)
 
 
-def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, zl, zr, dp):
-    """Quadratic nodal force balance A u^2 + B u + C = 0 with admissibility test.
-
-    Returns (u_star, p_star_left_side, p_star_right_side, accepted_mask). The root
-    nearest the acoustic star velocity ``u_ac`` is tried (the one root where |A| is
-    negligible); a rejected node carries ``u_ac`` and is for the caller to fill.
-    ``zl`` = rl cl, ``zr`` = rr cr and ``dp`` = pl - pr come from the caller,
-    which forms them once for the acoustic guess as well.
+def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, dl0, dr0, zl, zr, out):
+    """The quadratic force balance for delta = u* - u_ac, with the admissibility
+    test, written into ``out`` = (u_star, p_star_left_side, p_star_right_side,
+    accepted) and returned. ``dl0``, ``dr0`` are the jumps at u_ac and ``zl``,
+    ``zr`` the impedances; a rejected node carries u_ac, for the caller to fill.
     """
     k = 0.5 * (gamma + 1.0)
-    mom_l = rl * ul
-    mom_r = rr * ur
-    A = k * (rl - rr)
-    neg_b = (gamma + 1.0) * (mom_l - mom_r) + zl + zr
-    C = k * (mom_l * ul - mom_r * ur) + dp + zl * ul + zr * ur
-
+    u_star, ps_l, ps_r, accepted = out
+    krl, krr = k * rl, k * rr
+    kdl, kdr = krl * dl0, krr * dr0
+    # A delta^2 + 2 b delta - c = 0: B' = 2 b and C' = -c of the module docstring
+    A, b, c = krl - krr, kdl + kdr - 0.5 * (zl + zr), kdr * dr0 - kdl * dl0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        disc = neg_b * neg_b - 4.0 * A * C
+        disc = b * b + A * c   # D/4
         # a non-finite coefficient makes disc non-finite (so does an overflow)
-        if not _greatest(np.abs(disc)) < np.inf and not np.isfinite((A, neg_b, C)).all():
+        if not _greatest(np.abs(disc)) < np.inf and not np.isfinite((A, b, c)).all():
             raise FloatingPointError("non-finite nodal force-balance coefficients")
-        # stable roots q/A, C/q: q = -(B + sign(B) sqrt(disc))/2, sign(+-0) = +1
-        q = 0.5 * (neg_b - np.copysign(np.sqrt(disc), 0.0 - neg_b))
-        root_a = q / A
-        root_b = C / q
-        u_try = np.where(np.abs(root_a - u_ac) <= np.abs(root_b - u_ac), root_a, root_b)
-        linear = np.abs(A) < 1e-12 * k * np.maximum(rl, rr)
-        u_try = np.where(linear, C / neg_b, u_try)
-        # an admissible jump is finite, so this also rejects non-finite roots
-        accepted = (((disc > 0.0) | linear)
-                    & _admissible(cl, u_try - ul, k) & _admissible(cr, u_try - ur, k))
-    u_star = np.where(accepted, u_try, u_ac)
-    return (u_star, star_pressure(pl, zl, rl, u_star - ul, k),
-            star_pressure(pr, zr, rr, ur - u_star, k), accepted)
+        delta = c / (b + np.copysign(np.sqrt(disc), b))   # NaN where disc < 0
+        dl, dr = dl0 + delta, dr0 - delta
+        # an admissible jump is finite, so this also rejects a NaN delta
+        np.logical_and(disc > 0.0, _admissible(cl, dl, k) & _admissible(cr, dr, k), out=accepted)
+        np.add(u_ac, delta, out=u_star)
+        if not _least(accepted):   # rare: a rejected node carries the acoustic guess
+            j = (~accepted).nonzero()[0]
+            u_star[j], dl[j], dr[j] = u_ac[j], dl0[j], dr0[j]
+            j = j[disc[j] <= 0.0]   # no real root: in the |A| band, the linear part's root in u
+            if j.size and (j := j[np.abs(A[j]) < 1e-12 * k * np.maximum(rl[j], rr[j])]).size:
+                m_l, m_r = rl[j] * ul[j], rr[j] * ur[j]
+                u = ((k * (m_l * ul[j] - m_r * ur[j]) + (pl[j] - pr[j]) + zl[j] * ul[j]
+                      + zr[j] * ur[j]) / ((gamma + 1.0) * (m_l - m_r) + zl[j] + zr[j]))
+                ok = _admissible(cl[j], u - ul[j], k) & _admissible(cr[j], u - ur[j], k)
+                j, u = j[ok], u[ok]
+                u_star[j], dl[j], dr[j], accepted[j] = u, u - ul[j], ur[j] - u, True
+    np.add(pl - zl * dl, krl * dl * dl, out=ps_l)   # star_pressure, k rho formed once
+    np.add(pr - zr * dr, krr * dr * dr, out=ps_r)
+    return out
 
 
-def solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma: float, solver: str = "quadratic"):
+def solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma: float, solver: str = "quadratic",
+                out=None):
     """Cell-centered nodal solve between left and right cell arrays.
 
     Returns (u_star, p_star_left_side, p_star_right_side, order), order being
-    ACOUSTIC or QUADRATIC per node. The acoustic solver gives the acoustic
-    values, one pressure array for both sides. The quadratic solver keeps an
-    admissible quadratic root and gives the two-shock solve where it is
-    rejected, with one star pressure on both sides and order ACOUSTIC.
+    ACOUSTIC or QUADRATIC per node, in the arrays of ``out`` if given. The acoustic
+    solver gives the acoustic values, one pressure for both sides. The quadratic
+    solver keeps an admissible quadratic root and gives the two-shock solve where
+    it is rejected, with one star pressure on both sides and order ACOUSTIC.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown nodal solver {solver!r}; expected one of {SOLVERS}")
+    u_star, ps_l, ps_r, order = out = out or (
+        *(np.empty(np.shape(rl)) for _ in range(3)), np.empty(np.shape(rl), np.int8))
     if solver == "acoustic":
-        u_ac, p_ac = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
-        return u_ac, p_ac, p_ac, np.zeros(np.shape(u_ac), dtype=np.int8)  # ACOUSTIC = 0
-    zl, zr, dp = rl * cl, rr * cr, pl - pr
-    u_ac = _balance_velocity(zl, ul, zr, ur, dp)  # the acoustic guess
-    u_star, ps_l, ps_r, accepted = _quadratic_kernel(
-        rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, zl, zr, dp)
+        u_star[...], ps_l[...] = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
+        ps_r[...], order[...] = ps_l, ACOUSTIC
+        return out
+    zl, zr = rl * cl, rr * cr
+    u_ac = _balance_velocity(zl, ul, zr, ur, pl - pr)  # the acoustic guess
+    dl0, dr0 = u_ac - ul, ur - u_ac
+    accepted = order.view(np.bool_)   # QUADRATIC = 1, ACOUSTIC = 0
+    _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, dl0, dr0, zl, zr,
+                      (u_star, ps_l, ps_r, accepted))
     if not _least(accepted):
         j = (~accepted).nonzero()[0]
         u_star[j], p_2s = _two_shock_kernel(
-            rl[j], cl[j], pl[j], ul[j], rr[j], cr[j], pr[j], ur[j], gamma, u_ac[j])
+            rl[j], cl[j], pl[j], ul[j], rr[j], cr[j], pr[j], ur[j], gamma, dl0[j], dr0[j])
         ps_l[j] = ps_r[j] = p_2s
-    return u_star, ps_l, ps_r, accepted.view(np.int8)  # QUADRATIC = 1, ACOUSTIC = 0
+    return out

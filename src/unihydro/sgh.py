@@ -3,7 +3,9 @@
 Per step: star pressures per cell from the velocity jump, the dual-cell force
 of Newton's second law, time-centered node velocities, and a predictor pass
 (optionally followed by a corrector pass that re-evaluates the star pressures
-on the provisional state and averages the two in the internal-energy update).
+on the provisional state): their average sets the force, ghost pressures, energy
+update and boundary flux alike, which conserves energy (Caramana et al., J.
+Comput. Phys. 146, 1998), and each pass's production (P - P*) du is averaged too.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ MODES = ("predictor_only", "predictor_corrector")
 @dataclass(frozen=True)
 class SghStepReport:
     du: np.ndarray                  # velocity jumps the predictor's star pressures saw
-    p_star: np.ndarray              # per-cell star pressure (last pass)
+    p_star: np.ndarray              # per-cell star pressure the update used
     u_star: np.ndarray              # per-node time-centered velocity (last pass)
-    entropy_production: np.ndarray  # summed over passes
+    entropy_production: np.ndarray  # averaged over passes
     entropy_scale: np.ndarray       # P^n |du|
     expansion: np.ndarray | None    # du >= 0 after the predictor, None after the corrector
     boundary: BoundaryFlux
@@ -87,6 +89,12 @@ def step(state: SghState, mesh: Mesh1D, gas: IdealGas, dt: float,
     for pass_floors in (floors,) if mode == "predictor_only" else ((0.0, 0.0), floors):
         du = work.node_u[1:] - work.node_u[:-1]
         p_star = closure.sgh_star_pressure(work.rho, work.c, work.p, du, gas.gamma)
+        produced = entropy_production_sgh(work.p, p_star, du)
+        if p_pred is None:
+            du_pred, p_pred, production = du, p_star, produced
+        else:   # the corrector: the two passes' average pressure acts in every update
+            p_star = 0.5 * (p_star + p_pred)
+            production = 0.5 * (production + produced)
         p_bnd_l = _ghost_pressure(bc_left, p_star[0])
         p_bnd_r = _ghost_pressure(bc_right, p_star[-1])
         force = np.empty(len(u_n))   # on each dual cell; the ends see the ghost pressures
@@ -100,16 +108,10 @@ def step(state: SghState, mesh: Mesh1D, gas: IdealGas, dt: float,
         if bc_right.velocity is not None:
             u_star[-1] = u_new[-1] = bc_right.velocity
 
-        p_energy = p_star if p_pred is None else 0.5 * (p_star + p_pred)
-        eps_new = state.eps - (dt / m_cell) * p_energy * (u_star[1:] - u_star[:-1])
+        eps_new = state.eps - (dt / m_cell) * p_star * (u_star[1:] - u_star[:-1])
         new_mesh = mesh_mod.update_geometry(mesh, u_star, dt)
         rho_new = m_cell / new_mesh.cell_volumes
         p_new, c_new = mesh_mod.cell_thermo(gas, rho_new, eps_new, pass_floors)
-        produced = entropy_production_sgh(work.p, p_star, du)
-        if p_pred is None:
-            du_pred, p_pred, production = du, p_star, produced
-        else:
-            production = production + produced
         work = SghState(u_new, rho_new, eps_new, p_new, c_new)
 
     il, wl = _side_flux(bc_left, +1.0, dt, p_bnd_l, p_star[0], u_star[0],

@@ -77,7 +77,8 @@ class TestSolveAllNodes:
         args = (state.rho[1], state.c[1], state.p[1], state.u[1],
                 state.rho[2], state.c[2], state.p[2], state.u[2])
         u_ac, p_ac = closure._acoustic_kernel(*args)
-        u_2s, p_2s = closure._two_shock_kernel(*args, GAS.gamma, u_ac)
+        u_2s, p_2s = closure._two_shock_kernel(*args, GAS.gamma, u_ac - args[3],
+                                              args[7] - u_ac)
         assert nodal.u_star[2] == u_2s and nodal.p_star[2] == p_2s
         assert p_2s > p_ac
 

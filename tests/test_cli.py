@@ -398,6 +398,25 @@ class TestCommandLine:
                          "--dt-init", "1.0", "--dt-growth", "1e12"])
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["sgh", "cch"])
+    def test_huge_spec_velocity_ends_at_first_step(self, tmp_path, capsys, method):
+        """u = 1e100 makes the CFL step ~1e-101, about 1e100 steps to t_end:
+        the run exits 2 at step 1 (the suite makes RuntimeWarnings errors)."""
+        spec = uh.sod().to_dict()
+        spec["regions"][0]["u"] = 1e100
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        argv = ["run", "--problem", f"@{path}", "--cells", "10", "--method", method]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "steps left" in err and "step 1 " in err
+
+    def test_step_budget_ends_run(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_STEPS", 500)   # sod at N = 100 takes 922 steps
+        with pytest.raises(uh.SolverFailure, match="the 0 steps left") as failed:
+            uh.run(uh.RunConfig(problem="sod", n_cells=100))
+        assert failed.value.step == 501
+
     def test_reference_command(self, tmp_path):
         out = tmp_path / "ref.csv"
         code = cli.main(["reference", "--problem", "sod", "--t", "0.2",

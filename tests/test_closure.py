@@ -171,7 +171,7 @@ class TestQuadraticSolver:
         """A rejected node: order ACOUSTIC, one star pressure, the values of
         the two-shock solve."""
         u_ac, _ = _acoustic_kernel(*left, *right)
-        u_2s, p_2s = _two_shock_kernel(*left, *right, 1.4, u_ac)
+        u_2s, p_2s = _two_shock_kernel(*left, *right, 1.4, u_ac - left.u, right.u - u_ac)
         assert sol.order == ACOUSTIC
         assert sol.p_star_left == sol.p_star_right
         assert (sol.u_star, sol.p_star_left) == (u_2s, p_2s)
@@ -292,7 +292,7 @@ class TestTwoShockSolver:
     @staticmethod
     def solve(rl, cl, pl, ul, rr, cr, pr, ur):
         u_ac, _ = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
-        return _two_shock_kernel(rl, cl, pl, ul, rr, cr, pr, ur, 1.4, u_ac)
+        return _two_shock_kernel(rl, cl, pl, ul, rr, cr, pr, ur, 1.4, u_ac - ul, ur - u_ac)
 
     def test_per_side_entropy_production(self):
         rng = np.random.default_rng(41)
@@ -335,7 +335,7 @@ class TestTwoShockSolver:
         rng = np.random.default_rng(53)
         (rl, rr), (cl, cr), (pl, pr), (ul, ur) = self.faces(rng)
         u_ac, p_ac = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
-        u_2s, p_2s = _two_shock_kernel(rl, cl, pl, ul, rr, cr, pr, ur, 1.4, u_ac)
+        u_2s, p_2s = _two_shock_kernel(rl, cl, pl, ul, rr, cr, pr, ur, 1.4, u_ac - ul, ur - u_ac)
         neither = (ul <= u_ac) & (u_ac <= ur)
         assert neither.sum() > 100
         np.testing.assert_array_equal(u_2s[neither], u_ac[neither])

@@ -1,11 +1,15 @@
 """``closure._quadratic_kernel`` against a reference copy of its earlier,
 where-guarded form.
 
-The library kernel tests admissibility as c >= k|d| and forms one candidate
-root without division guards. Both kernels must accept the same nodes, except
-where c = k|d| holds to a few ulps (the two forms of the bound round
-differently there), and must give bitwise the same star state wherever they
-agree.
+The library kernel tests admissibility as c >= k|d| and solves for the
+correction to the acoustic guess without division guards. Both kernels must
+accept the same nodes, except where c = k|d| holds to a few ulps (the two
+kernels round the bound and the root differently there). Where both reject a
+node they must give bitwise the same star state (the acoustic guess); where
+both accept it, the same star velocity to round-off (unless the reference's
+root balances the forces worse) and a force-balance residual
+|p*_L - p*_R| / (|p*_L| + |p*_R|) no worse than the reference's, or than
+8 ulps (of ``balance_scale`` on arbitrary states).
 """
 
 import importlib.util
@@ -22,6 +26,7 @@ from unihydro.closure import _acoustic_kernel, _quadratic_kernel, star_pressure
 
 GAMMA = 1.4
 K = 0.5 * (GAMMA + 1.0)
+EPS = np.finfo(float).eps
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 
@@ -69,28 +74,72 @@ def reference_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac):
     return u_star, ps_left, ps_right, accepted, u_try
 
 
-def _near_bound(c, d):
-    """c = k|d| to within a few ulps of c."""
-    return np.abs(c - K * np.abs(d)) <= 8.0 * np.finfo(float).eps * c
+def _near_bound(c, u_try, u):
+    """c = k|d|, d = u_try - u, to within a few ulps of c and of k|u_try| + k|u|:
+    the two kernels round the bound differently and their roots by a few ulps."""
+    return (np.abs(c - K * np.abs(u_try - u))
+            <= 8.0 * EPS * (c + K * (np.abs(u_try) + np.abs(u))))
 
 
-def assert_matches_reference(rl, cl, pl, ul, rr, cr, pr, ur):
-    """Same accept mask up to bound ties, bitwise-equal star states elsewhere.
-    Returns the number of nodes accepted."""
+def quadratic(rl, cl, pl, ul, rr, cr, pr, ur, u_ac):
+    """``_quadratic_kernel`` around the acoustic guess ``u_ac``, into fresh arrays."""
+    n = np.shape(u_ac)
+    out = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+    return _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, GAMMA, u_ac, u_ac - ul, ur - u_ac,
+                             rl * cl, rr * cr, out)
+
+
+def balance_residual(ps_l, ps_r):
+    """|p*_L - p*_R| / (|p*_L| + |p*_R|), zero where both vanish."""
+    return np.abs(ps_l - ps_r) / np.maximum(np.abs(ps_l) + np.abs(ps_r), np.finfo(float).tiny)
+
+
+def balance_scale(rl, cl, pl, ul, rr, cr, pr, ur, u_star, ps_l, ps_r, speed):
+    """The pressures the force balance sums at ``u_star`` (the impedance terms
+    taken at the velocity scale ``speed``) over |p*_L| + |p*_R|.
+
+    Rounding the solve's inputs leaves a residual of a few ulps of this. Where
+    a one-sided relation cancels to p* ~ 0, as it can on arbitrary states but
+    not on run states, it is far above 1 and neither kernel holds the residual
+    to 8 ulps; where both star pressures vanish it is infinite."""
+    dl, dr = u_star - ul, ur - u_star
+    terms = pl + pr + (rl * cl + rr * cr) * speed + K * (rl * dl * dl + rr * dr * dr)
+    with np.errstate(over="ignore"):
+        return terms / np.maximum(np.abs(ps_l) + np.abs(ps_r), np.finfo(float).tiny)
+
+
+def assert_matches_reference(rl, cl, pl, ul, rr, cr, pr, ur, run_state=False):
+    """Same accept mask up to bound ties; bitwise-equal star states where both
+    reject, the same root to round-off and no worse a force balance where both
+    accept. The residual floor is 8 ulps on a ``run_state``, else 8 ulps of
+    ``balance_scale``. Returns the number of nodes accepted."""
     args = tuple(np.asarray(a, dtype=float) for a in (rl, cl, pl, ul, rr, cr, pr, ur))
     u_ac, _ = _acoustic_kernel(*args)
     with np.errstate(all="ignore"):
         *ref, ref_ok, u_try = reference_kernel(*args, GAMMA, u_ac)
     rl, cl, pl, ul, rr, cr, pr, ur = args
-    *new, new_ok = _quadratic_kernel(*args, GAMMA, u_ac, rl * cl, rr * cr, pl - pr)
+    *new, new_ok = quadratic(*args, u_ac)
     assert new_ok.dtype == np.bool_ and new_ok.shape == u_ac.shape
     flipped = ref_ok != new_ok
-    tie = _near_bound(args[1], u_try - args[3]) | _near_bound(args[5], u_try - args[7])
+    tie = _near_bound(args[1], u_try, args[3]) | _near_bound(args[5], u_try, args[7])
     assert np.all(tie[flipped]), f"accept flips away from c = k|d| at {np.flatnonzero(flipped)}"
-    # accepted by both: the star state; rejected by both: the acoustic guess
+    # rejected by both: the acoustic guess and its star pressures
+    rejected = ~ref_ok & ~new_ok
     for old, fresh in zip(ref, new):
-        np.testing.assert_array_equal(old[~flipped].view(np.int64),
-                                      fresh[~flipped].view(np.int64))
+        np.testing.assert_array_equal(old[rejected].view(np.int64),
+                                      fresh[rejected].view(np.int64))
+    # accepted by both: a force balance no worse, and the same root to
+    # round-off unless the reference's root is the one that balances worse
+    both = ref_ok & new_ok
+    (ref_u, ref_l, ref_r), (u_star, ps_l, ps_r) = ref, new
+    speed = np.abs(u_star) + np.abs(ul) + np.abs(ur) + cl + cr
+    residual, ref_residual = balance_residual(ps_l, ps_r), balance_residual(ref_l, ref_r)
+    near = np.abs(u_star - ref_u) <= 1e-12 * speed
+    assert np.all((near | (residual < ref_residual))[both])
+    floor = 8.0 * EPS
+    if not run_state:
+        floor = floor * balance_scale(*args, u_star, ps_l, ps_r, speed)
+    assert np.all(residual[both] <= np.maximum(ref_residual, floor)[both])
     return int(np.count_nonzero(new_ok))
 
 
@@ -117,19 +166,37 @@ def test_covers_linear_negative_discriminant_and_zero_jump():
     root4 = -B[4] / (2.0 * A[4])
     assert cl[4] >= K * abs(root4 - ul[4]) and cr[4] >= K * abs(root4 - ur[4])
     u_ac, _ = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
-    u_star, _, _, accepted = _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, GAMMA, u_ac,
-                                               rl * cl, rr * cr, pl - pr)
+    u_star, _, _, accepted = quadratic(rl, cl, pl, ul, rr, cr, pr, ur, u_ac)
     assert accepted.tolist() == [True, True, False, True, False, True]
     assert u_star[1] == 0.3 and u_star[2] == u_ac[2] and u_star[4] == u_ac[4]
     assert u_star[5] == C[5] / -B[5]
     assert_matches_reference(rl, cl, pl, ul, rr, cr, pr, ur)
 
 
+def test_expanding_equal_density_and_rejected_nodes():
+    # node 0: rho = c = 1, p = 0, u = 0 | 1 expands so strongly that B' > 0 in
+    # A d^2 + B' d + C' = 0 (d = u* - u_ac): a root formed as if B' < 0 is 0/0;
+    # 1: equal densities, A = 0 exactly, whose root is rational (3/26);
+    # 2: disc < 0 outside the |A| band, rejected with the acoustic guess
+    rl, cl, pl, ul = (np.array(v) for v in ([1.0, 2.0, 10.0], [1.0, 1.5, 1.0],
+                                            [0.0, 3.0, 101.0], [0.0, 0.25, -0.42]))
+    rr, cr, pr, ur = (np.array(v) for v in ([1.0, 2.0, 0.1], [1.0, 1.25, 1.0],
+                                            [0.0, 1.0, 1.0], [1.0, -0.5, 0.0]))
+    u_ac, _ = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
+    u_star, ps_l, ps_r, accepted = quadratic(rl, cl, pl, ul, rr, cr, pr, ur, u_ac)
+    assert accepted.tolist() == [True, True, False]
+    assert np.isfinite(u_star).all() and np.isfinite(ps_l).all() and np.isfinite(ps_r).all()
+    assert u_star[0] == 0.5 and ps_l[0] == ps_r[0] == -0.2
+    assert abs(u_star[1] - 3.0 / 26.0) <= 4.0 * EPS * (abs(ul[1]) + abs(ur[1]))
+    assert balance_residual(ps_l[1], ps_r[1]) <= 8.0 * EPS
+    assert u_star[2] == u_ac[2]
+    assert_matches_reference(rl, cl, pl, ul, rr, cr, pr, ur)
+
+
 def test_non_finite_coefficients_raise():
     one = np.ones(2)
     with pytest.raises(FloatingPointError, match="non-finite"):
-        _quadratic_kernel(one, one, one, np.array([1.0, np.inf]), one, one, one, one,
-                          GAMMA, one, one, one, one - one)
+        quadratic(one, one, one, np.array([1.0, np.inf]), one, one, one, one, one)
 
 
 _rho = st.floats(0.01, 100.0)
@@ -140,9 +207,8 @@ _node = st.tuples(st.sampled_from(["random", "equal_rho", "uniform", "equal_u_p"
                   _rho, _c, _p, _u, _rho, _c, _p, _u)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(_node, min_size=1, max_size=40))
-def test_random_states_match_reference(nodes):
+def _node_arrays(nodes):
+    """The eight face arrays of drawn nodes, each shaped by its kind."""
     rows = []
     for kind, rl, cl, pl, ul, rr, cr, pr, ur in nodes:
         if kind == "equal_rho":
@@ -152,7 +218,30 @@ def test_random_states_match_reference(nodes):
         elif kind == "equal_u_p":
             pr, ur = pl, ul
         rows.append((rl, cl, pl, ul, rr, cr, pr, ur))
-    assert_matches_reference(*np.array(rows).T)
+    return np.array(rows).T
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_node, min_size=1, max_size=40))
+def test_random_states_match_reference(nodes):
+    assert_matches_reference(*_node_arrays(nodes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_node, min_size=1, max_size=40))
+def test_mirrored_nodes_mirror_exactly(nodes):
+    """Swapping the sides and negating the velocities negates u* and swaps the
+    star pressures, exactly (zeros of either sign compare equal), except in the
+    |A| band, whose root keeps the earlier u-form and its rounding."""
+    rl, cl, pl, ul, rr, cr, pr, ur = _node_arrays(nodes)
+    u_ac, _ = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
+    u_star, ps_l, ps_r, accepted = quadratic(rl, cl, pl, ul, rr, cr, pr, ur, u_ac)
+    m_ac, _ = _acoustic_kernel(rr, cr, pr, -ur, rl, cl, pl, -ul)
+    m_star, m_l, m_r, m_accepted = quadratic(rr, cr, pr, -ur, rl, cl, pl, -ul, m_ac)
+    kept = ~((rl != rr) & (np.abs(rl - rr) < 1e-12 * np.maximum(rl, rr)))
+    assert np.array_equal(m_accepted[kept], accepted[kept])
+    assert np.array_equal(m_star[kept], -u_star[kept])
+    assert np.array_equal(m_l[kept], ps_r[kept]) and np.array_equal(m_r[kept], ps_l[kept])
 
 
 def _riemann_array_spec(seed):
@@ -175,5 +264,5 @@ def test_array_large_state_matches_reference():
                                  dt_init=dt, dt_max=dt, t_end=100 * dt))
     s = result.state
     accepted = assert_matches_reference(s.rho[:-1], s.c[:-1], s.p[:-1], s.u[:-1],
-                                        s.rho[1:], s.c[1:], s.p[1:], s.u[1:])
+                                        s.rho[1:], s.c[1:], s.p[1:], s.u[1:], run_state=True)
     assert n // 2 < accepted < n - 1

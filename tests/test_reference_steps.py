@@ -75,8 +75,10 @@ def ref_solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma, solver):
     u_ac, p_ac = ref_linear_balance(rl * cl, pl, ul, rr * cr, pr, ur)
     if solver == "acoustic":
         return u_ac, p_ac, p_ac, np.full(np.shape(u_ac), closure.ACOUSTIC, dtype=np.int8)
+    out = (np.empty(u_ac.shape), np.empty(u_ac.shape), np.empty(u_ac.shape),
+           np.empty(u_ac.shape, dtype=bool))
     u_star, ps_l, ps_r, accepted = closure._quadratic_kernel(
-        rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, rl * cl, rr * cr, pl - pr)
+        rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, u_ac - ul, ur - u_ac, rl * cl, rr * cr, out)
     j = np.flatnonzero(~accepted)
     if j.size:
         u_star[j], p_2s = ref_two_shock(
@@ -116,11 +118,14 @@ def ref_cch_step(state, mesh, gas, dt, bc_left, bc_right, solver):
 
 
 def ref_sgh_advance(base_state, base_mesh, work_state, gas, dt, bc_left, bc_right,
-                    p_energy_extra=None):
+                    p_pred=None):
     u_work = work_state.node_u
     du = u_work[1:] - u_work[:-1]
     p_star = closure.sgh_star_pressure(work_state.rho, work_state.c, work_state.p, du,
                                        gas.gamma)
+    production = (work_state.p - p_star) * du
+    if p_pred is not None:   # the corrector pass: the two passes' average acts throughout
+        p_star = 0.5 * (p_star + p_pred)
     p_bnd_l = sgh._ghost_pressure(bc_left, p_star[0])
     p_bnd_r = sgh._ghost_pressure(bc_right, p_star[-1])
     force = np.empty(len(p_star) + 1)
@@ -133,8 +138,7 @@ def ref_sgh_advance(base_state, base_mesh, work_state, gas, dt, bc_left, bc_righ
         u_star[0] = u_new[0] = bc_left.velocity
     if bc_right.velocity is not None:
         u_star[-1] = u_new[-1] = bc_right.velocity
-    p_energy = p_star if p_energy_extra is None else 0.5 * (p_star + p_energy_extra)
-    eps_new = base_state.eps - (dt / base_mesh.cell_mass) * p_energy * (u_star[1:] - u_star[:-1])
+    eps_new = base_state.eps - (dt / base_mesh.cell_mass) * p_star * (u_star[1:] - u_star[:-1])
     new_mesh = ref_update_geometry(base_mesh, u_star, dt)
     rho_new = base_mesh.cell_mass / ref_volumes(new_mesh)
     new_state = SghState(u_new, rho_new, eps_new, *ref_cell_thermo(gas, rho_new, eps_new))
@@ -142,7 +146,6 @@ def ref_sgh_advance(base_state, base_mesh, work_state, gas, dt, bc_left, bc_righ
                             base_mesh.node_mass[0], u_n[0], u_new[0])
     ir, wr = sgh._side_flux(bc_right, -1.0, dt, p_bnd_r, p_star[-1], u_star[-1],
                             base_mesh.node_mass[-1], u_n[-1], u_new[-1])
-    production = (work_state.p - p_star) * du
     return new_mesh, new_state, p_star, u_star, du, production, diag.BoundaryFlux(il, ir, wl, wr)
 
 
@@ -153,8 +156,8 @@ def ref_sgh_step(state, mesh, gas, dt, bc_left, bc_right, mode):
     if mode == "predictor_only":
         return mesh1, prov, (production, scale, flux, du >= 0.0, du, p_star, u_star)
     mesh2, new_state, p_star2, u_star2, _, production2, flux = ref_sgh_advance(
-        state, mesh, prov, gas, dt, bc_left, bc_right, p_energy_extra=p_star)
-    return mesh2, new_state, (production + production2, scale, flux, None, du, p_star2,
+        state, mesh, prov, gas, dt, bc_left, bc_right, p_pred=p_star)
+    return mesh2, new_state, (0.5 * (production + production2), scale, flux, None, du, p_star2,
                               u_star2)
 
 
