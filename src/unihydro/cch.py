@@ -10,10 +10,8 @@ two-shock solve of ``closure._two_shock_kernel`` instead of the plain acoustic
 values: a linear force balance that keeps the ``k rho d^2`` compression term
 on a compressed side. Wall and prescribed-velocity boundary nodes follow the
 same rule. Such nodes are tagged ACOUSTIC (quadratic root rejected).
-The quadratic solve finds the correction to the acoustic guess u_ac as
-delta = -2 C' / (B' + sign(B') sqrt(D)) (see ``closure``), continuous through
-A = 0, so only rejected nodes without a real root test the |A| ~ 0 band. The
-interior star states are written straight into the N+1 nodal arrays.
+The quadratic solve (``closure``) finds the correction to the acoustic guess,
+with no |A| ~ 0 band on its fast path, straight into the N+1 nodal arrays.
 """
 
 from __future__ import annotations

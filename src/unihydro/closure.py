@@ -10,22 +10,21 @@ force balance gives either a linear (acoustic) solve or a quadratic solve with
 an admissibility test. Every one-sided star pressure is ``star_pressure``.
 
 ``solve_nodes`` is the cell-centered nodal solve. Its quadratic solve finds the
-correction delta = u* - u_ac to the acoustic guess u_ac (where the linear part
-of the balance vanishes) from A delta^2 + B' delta + C' = 0: A = k rl - k rr,
-B' = 2 (k rl dl0 + k rr dr0) - zl - zr, C' = k rl dl0^2 - k rr dr0^2, with the
-jumps dl0 = u_ac - ul, dr0 = ur - u_ac, z = rho c and k = (gamma+1)/2. The root
-delta = -2 C' / (B' + sign(B') sqrt(D)), D = B'^2 - 4 A C' (B' > 0 at a strongly
-expanding node), divides by no A and is continuous through A = 0, so only
-rejected nodes with D <= 0 test the band |A| ~ 0 (for the root of the linear
-part in u). A and C' flip sign under a mirror swap: bitwise mirror symmetry. A node
-is accepted where D > 0 and c >= k|d| on both sides, else it gets the two-shock
-solve ``_two_shock_kernel`` on the jumps already formed: a linear force
-balance whose impedance on a compressed side is ``rho c + k rho (compression)``,
-with the compression measured from the acoustic guess and k = (gamma+1)/2. This
-is the two-shock impedance of Dukowicz (J. Comput. Phys. 61, 1985), and it keeps
-the same ``k rho d^2`` compression term the staggered star pressure carries.
-An expanding side adds no impedance, so without compression the solve is the
-acoustic one.
+correction delta = u* - u_ac to the acoustic guess u_ac from A delta^2 + B' delta
++ C' = 0: A = k rl - k rr, B' = 2 (k rl dl0 + k rr dr0) - zl - zr and C' = k rl dl0^2
+- k rr dr0^2 + r0, with dl0 = u_ac - ul, dr0 = ur - u_ac, z = rho c, k = (gamma+1)/2
+and r0 = (pl - zl dl0) - (pr - zr dr0) the rounding of the linear part (zero at u_ac
+in exact arithmetic). The root delta = -2 C' / (B' + sign(B') sqrt(D)), D = B'^2
+- 4 A C' (B' > 0 at a strongly expanding node), divides by no A, so only rejected
+nodes with D <= 0 test the band |A| ~ 0 (for the linear part's root in u); A and
+C' flip sign under a mirror swap. A node is accepted where D > 0 and c >= k|d| on
+both sides, else it gets the two-shock solve ``_two_shock_kernel`` on the jumps
+already formed: a linear force balance whose impedance on a compressed side is
+``rho c + k rho (compression)``, with the compression measured from the acoustic
+guess. This is the two-shock impedance of Dukowicz (J. Comput. Phys. 61, 1985),
+and it keeps the same ``k rho d^2`` compression term the staggered star pressure
+carries. An expanding side adds no impedance, so without compression the solve
+is the acoustic one.
 """
 
 from __future__ import annotations
@@ -111,8 +110,9 @@ def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, dl0, dr0, zl,
     u_star, ps_l, ps_r, accepted = out
     krl, krr = k * rl, k * rr
     kdl, kdr = krl * dl0, krr * dr0
-    # A delta^2 + 2 b delta - c = 0: B' = 2 b and C' = -c of the module docstring
-    A, b, c = krl - krr, kdl + kdr - 0.5 * (zl + zr), kdr * dr0 - kdl * dl0
+    # A delta^2 + 2 b delta - c = 0: B' = 2 b and C' = -c (with r0) of the module docstring
+    A, b = krl - krr, kdl + kdr - 0.5 * (zl + zr)
+    c = kdr * dr0 - kdl * dl0 + ((pr - zr * dr0) - (pl - zl * dl0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         disc = b * b + A * c   # D/4
         # a non-finite coefficient makes disc non-finite (so does an overflow)

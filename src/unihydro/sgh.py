@@ -4,8 +4,9 @@ Per step: star pressures per cell from the velocity jump, the dual-cell force
 of Newton's second law, time-centered node velocities, and a predictor pass
 (optionally followed by a corrector pass that re-evaluates the star pressures
 on the provisional state): their average sets the force, ghost pressures, energy
-update and boundary flux alike, which conserves energy (Caramana et al., J.
-Comput. Phys. 146, 1998), and each pass's production (P - P*) du is averaged too.
+update and boundary flux, which conserves energy (Caramana et al., J. Comput.
+Phys. 146, 1998), and is audited as (P - P*) Delta u*: unlike the predictor's
+(P - P*) du^n, not nonnegative by construction.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ class SghStepReport:
     du: np.ndarray                  # velocity jumps the predictor's star pressures saw
     p_star: np.ndarray              # per-cell star pressure the update used
     u_star: np.ndarray              # per-node time-centered velocity (last pass)
-    entropy_production: np.ndarray  # averaged over passes
-    entropy_scale: np.ndarray       # P^n |du|
+    entropy_production: np.ndarray  # (P - P*) du^n, or (P - P*) Delta u* if corrected
+    entropy_scale: np.ndarray       # P^n |du^n|
     expansion: np.ndarray | None    # du >= 0 after the predictor, None after the corrector
     boundary: BoundaryFlux
 
@@ -89,12 +90,10 @@ def step(state: SghState, mesh: Mesh1D, gas: IdealGas, dt: float,
     for pass_floors in (floors,) if mode == "predictor_only" else ((0.0, 0.0), floors):
         du = work.node_u[1:] - work.node_u[:-1]
         p_star = closure.sgh_star_pressure(work.rho, work.c, work.p, du, gas.gamma)
-        produced = entropy_production_sgh(work.p, p_star, du)
         if p_pred is None:
-            du_pred, p_pred, production = du, p_star, produced
+            du_pred, p_pred, p_cell = du, p_star, state.p
         else:   # the corrector: the two passes' average pressure acts in every update
-            p_star = 0.5 * (p_star + p_pred)
-            production = 0.5 * (production + produced)
+            p_star, p_cell = 0.5 * (p_star + p_pred), 0.5 * (work.p + state.p)
         p_bnd_l = _ghost_pressure(bc_left, p_star[0])
         p_bnd_r = _ghost_pressure(bc_right, p_star[-1])
         force = np.empty(len(u_n))   # on each dual cell; the ends see the ghost pressures
@@ -108,7 +107,8 @@ def step(state: SghState, mesh: Mesh1D, gas: IdealGas, dt: float,
         if bc_right.velocity is not None:
             u_star[-1] = u_new[-1] = bc_right.velocity
 
-        eps_new = state.eps - (dt / m_cell) * p_star * (u_star[1:] - u_star[:-1])
+        du_star = u_star[1:] - u_star[:-1]
+        eps_new = state.eps - (dt / m_cell) * p_star * du_star
         new_mesh = mesh_mod.update_geometry(mesh, u_star, dt)
         rho_new = m_cell / new_mesh.cell_volumes
         p_new, c_new = mesh_mod.cell_thermo(gas, rho_new, eps_new, pass_floors)
@@ -119,6 +119,8 @@ def step(state: SghState, mesh: Mesh1D, gas: IdealGas, dt: float,
     ir, wr = _side_flux(bc_right, -1.0, dt, p_bnd_r, p_star[-1], u_star[-1],
                         m_node[-1], u_n[-1], u_new[-1])
     expansion = du_pred >= 0.0 if mode == "predictor_only" else None
-    report = SghStepReport(du_pred, p_star, u_star, production, state.p * np.abs(du_pred),
-                           expansion, BoundaryFlux(il, ir, wl, wr))
+    du_audit = du_pred if mode == "predictor_only" else du_star
+    report = SghStepReport(du_pred, p_star, u_star,
+                           entropy_production_sgh(p_cell, p_star, du_audit),
+                           state.p * np.abs(du_pred), expansion, BoundaryFlux(il, ir, wl, wr))
     return new_mesh, work, report

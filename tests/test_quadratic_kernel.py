@@ -3,18 +3,23 @@ where-guarded form.
 
 The library kernel tests admissibility as c >= k|d| and solves for the
 correction to the acoustic guess without division guards. Both kernels must
-accept the same nodes, except where c = k|d| holds to a few ulps (the two
-kernels round the bound and the root differently there). Where both reject a
-node they must give bitwise the same star state (the acoustic guess); where
-both accept it, the same star velocity to round-off (unless the reference's
-root balances the forces worse) and a force-balance residual
-|p*_L - p*_R| / (|p*_L| + |p*_R|) no worse than the reference's, or than
-8 ulps (of ``balance_scale`` on arbitrary states).
+accept the same nodes, except where c = k|d| holds to 8 ulps of c at the
+reference's root or at the exact root. Where both reject a node they must give
+bitwise the same star state (the acoustic guess); where both accept it, (a) the
+same star velocity to 1e-12 of the velocity scale and (b) a force-balance
+residual |p*_L - p*_R| / (|p*_L| + |p*_R|) no worse than the reference's or
+than 8 ulps. The one exception: the new root is the exact root (``exact_root``)
+to 1e-12 of the velocity scale, and, for (a), the reference's root is not.
+Where star pressures cancel to far below their terms, the residual of either
+kernel is the rounding of their evaluation, and the new one can be the larger
+at a root as exact.
 """
 
 import importlib.util
 import os
 import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,11 +79,28 @@ def reference_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac):
     return u_star, ps_left, ps_right, accepted, u_try
 
 
-def _near_bound(c, u_try, u):
-    """c = k|d|, d = u_try - u, to within a few ulps of c and of k|u_try| + k|u|:
-    the two kernels round the bound differently and their roots by a few ulps."""
-    return (np.abs(c - K * np.abs(u_try - u))
-            <= 8.0 * EPS * (c + K * (np.abs(u_try) + np.abs(u))))
+def _near_bound(c, d):
+    """c = k|d| to within a few ulps of c."""
+    return np.abs(c - K * np.abs(d)) <= 8.0 * EPS * c
+
+
+def exact_root(rl, cl, pl, ul, rr, cr, pr, ur, u_ac):
+    """The root of p*_L(u) = p*_R(u) nearest ``u_ac`` for one node, in exact
+    arithmetic on the float inputs (with z = rho c and k rounded to floats, as
+    both kernels form them), as a 60-digit Decimal; None without a real root."""
+    k, zl, zr = Fraction(K), Fraction(rl * cl), Fraction(rr * cr)
+    rl, pl, ul, rr, pr, ur, u_ac = map(Fraction, (rl, pl, ul, rr, pr, ur, u_ac))
+    dl0, dr0 = u_ac - ul, ur - u_ac
+    a = k * (rl - rr)
+    b = 2 * k * (rl * dl0 + rr * dr0) - zl - zr
+    c = k * (rl * dl0 * dl0 - rr * dr0 * dr0) + (pl - zl * dl0) - (pr - zr * dr0)
+    disc = b * b - 4 * a * c
+    if disc < 0 or b == disc == 0:
+        return None
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dec = [Decimal(q.numerator) / Decimal(q.denominator) for q in (b, c, disc, u_ac)]
+        return dec[3] - 2 * dec[1] / (dec[0] + dec[2].sqrt().copy_sign(dec[0]))
 
 
 def quadratic(rl, cl, pl, ul, rr, cr, pr, ur, u_ac):
@@ -94,25 +116,15 @@ def balance_residual(ps_l, ps_r):
     return np.abs(ps_l - ps_r) / np.maximum(np.abs(ps_l) + np.abs(ps_r), np.finfo(float).tiny)
 
 
-def balance_scale(rl, cl, pl, ul, rr, cr, pr, ur, u_star, ps_l, ps_r, speed):
-    """The pressures the force balance sums at ``u_star`` (the impedance terms
-    taken at the velocity scale ``speed``) over |p*_L| + |p*_R|.
-
-    Rounding the solve's inputs leaves a residual of a few ulps of this. Where
-    a one-sided relation cancels to p* ~ 0, as it can on arbitrary states but
-    not on run states, it is far above 1 and neither kernel holds the residual
-    to 8 ulps; where both star pressures vanish it is infinite."""
-    dl, dr = u_star - ul, ur - u_star
-    terms = pl + pr + (rl * cl + rr * cr) * speed + K * (rl * dl * dl + rr * dr * dr)
-    with np.errstate(over="ignore"):
-        return terms / np.maximum(np.abs(ps_l) + np.abs(ps_r), np.finfo(float).tiny)
-
-
-def assert_matches_reference(rl, cl, pl, ul, rr, cr, pr, ur, run_state=False):
+def assert_matches_reference(rl, cl, pl, ul, rr, cr, pr, ur):
     """Same accept mask up to bound ties; bitwise-equal star states where both
-    reject, the same root to round-off and no worse a force balance where both
-    accept. The residual floor is 8 ulps on a ``run_state``, else 8 ulps of
-    ``balance_scale``. Returns the number of nodes accepted."""
+    reject; where both accept, (a) the same root to 1e-12 of |u*| + |ul| + |ur|
+    + cl + cr and (b) a residual no worse than the reference's or 8 ulps.
+
+    A node may miss (a) or (b) only where its new root is the exact root to
+    1e-12 of that velocity scale, and miss (a) only where the reference's root
+    is not. Returns the numbers of nodes accepted and of nodes that needed the
+    exception."""
     args = tuple(np.asarray(a, dtype=float) for a in (rl, cl, pl, ul, rr, cr, pr, ur))
     u_ac, _ = _acoustic_kernel(*args)
     with np.errstate(all="ignore"):
@@ -121,26 +133,32 @@ def assert_matches_reference(rl, cl, pl, ul, rr, cr, pr, ur, run_state=False):
     *new, new_ok = quadratic(*args, u_ac)
     assert new_ok.dtype == np.bool_ and new_ok.shape == u_ac.shape
     flipped = ref_ok != new_ok
-    tie = _near_bound(args[1], u_try, args[3]) | _near_bound(args[5], u_try, args[7])
-    assert np.all(tie[flipped]), f"accept flips away from c = k|d| at {np.flatnonzero(flipped)}"
+    tie = _near_bound(cl, u_try - ul) | _near_bound(cr, u_try - ur)
+    for i in np.flatnonzero(flipped & ~tie):   # a tie at the exact root, where u_try is off
+        exact = exact_root(*(a[i] for a in args), u_ac[i])
+        assert exact is not None and any(
+            abs(Decimal(c) - Decimal(K) * abs(exact - Decimal(u))) <= Decimal(8.0 * EPS * c)
+            for c, u in ((cl[i], ul[i]), (cr[i], ur[i]))), f"accept flips away from c = k|d| at {i}"
     # rejected by both: the acoustic guess and its star pressures
     rejected = ~ref_ok & ~new_ok
     for old, fresh in zip(ref, new):
         np.testing.assert_array_equal(old[rejected].view(np.int64),
                                       fresh[rejected].view(np.int64))
-    # accepted by both: a force balance no worse, and the same root to
-    # round-off unless the reference's root is the one that balances worse
+    # accepted by both: (a) the same root to round-off, (b) a force balance no worse
     both = ref_ok & new_ok
     (ref_u, ref_l, ref_r), (u_star, ps_l, ps_r) = ref, new
     speed = np.abs(u_star) + np.abs(ul) + np.abs(ur) + cl + cr
-    residual, ref_residual = balance_residual(ps_l, ps_r), balance_residual(ref_l, ref_r)
-    near = np.abs(u_star - ref_u) <= 1e-12 * speed
-    assert np.all((near | (residual < ref_residual))[both])
-    floor = 8.0 * EPS
-    if not run_state:
-        floor = floor * balance_scale(*args, u_star, ps_l, ps_r, speed)
-    assert np.all(residual[both] <= np.maximum(ref_residual, floor)[both])
-    return int(np.count_nonzero(new_ok))
+    off_a = both & ~(np.abs(u_star - ref_u) <= 1e-12 * speed)
+    off_b = both & ~(balance_residual(ps_l, ps_r)
+                     <= np.maximum(balance_residual(ref_l, ref_r), 8.0 * EPS))
+    for i in np.flatnonzero(off_a | off_b):
+        exact = exact_root(*(a[i] for a in args), u_ac[i])
+        assert exact is not None, i
+        tol = Decimal(1e-12 * speed[i])
+        assert abs(Decimal(u_star[i]) - exact) <= tol, (i, off_a[i], off_b[i])
+        if off_a[i]:
+            assert abs(Decimal(ref_u[i]) - exact) > tol, i
+    return int(np.count_nonzero(new_ok)), int(np.count_nonzero(off_a | off_b))
 
 
 def test_covers_linear_negative_discriminant_and_zero_jump():
@@ -263,6 +281,6 @@ def test_array_large_state_matches_reference():
     result = uh.run(uh.RunConfig(problem=problem, method="cch", n_cells=n,
                                  dt_init=dt, dt_max=dt, t_end=100 * dt))
     s = result.state
-    accepted = assert_matches_reference(s.rho[:-1], s.c[:-1], s.p[:-1], s.u[:-1],
-                                        s.rho[1:], s.c[1:], s.p[1:], s.u[1:], run_state=True)
-    assert n // 2 < accepted < n - 1
+    accepted, excepted = assert_matches_reference(s.rho[:-1], s.c[:-1], s.p[:-1], s.u[:-1],
+                                                  s.rho[1:], s.c[1:], s.p[1:], s.u[1:])
+    assert n // 2 < accepted < n - 1 and excepted == 0

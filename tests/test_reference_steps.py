@@ -123,9 +123,9 @@ def ref_sgh_advance(base_state, base_mesh, work_state, gas, dt, bc_left, bc_righ
     du = u_work[1:] - u_work[:-1]
     p_star = closure.sgh_star_pressure(work_state.rho, work_state.c, work_state.p, du,
                                        gas.gamma)
-    production = (work_state.p - p_star) * du
+    p_cell = work_state.p
     if p_pred is not None:   # the corrector pass: the two passes' average acts throughout
-        p_star = 0.5 * (p_star + p_pred)
+        p_star, p_cell = 0.5 * (p_star + p_pred), 0.5 * (work_state.p + base_state.p)
     p_bnd_l = sgh._ghost_pressure(bc_left, p_star[0])
     p_bnd_r = sgh._ghost_pressure(bc_right, p_star[-1])
     force = np.empty(len(p_star) + 1)
@@ -138,7 +138,8 @@ def ref_sgh_advance(base_state, base_mesh, work_state, gas, dt, bc_left, bc_righ
         u_star[0] = u_new[0] = bc_left.velocity
     if bc_right.velocity is not None:
         u_star[-1] = u_new[-1] = bc_right.velocity
-    eps_new = base_state.eps - (dt / base_mesh.cell_mass) * p_star * (u_star[1:] - u_star[:-1])
+    du_star = u_star[1:] - u_star[:-1]
+    eps_new = base_state.eps - (dt / base_mesh.cell_mass) * p_star * du_star
     new_mesh = ref_update_geometry(base_mesh, u_star, dt)
     rho_new = base_mesh.cell_mass / ref_volumes(new_mesh)
     new_state = SghState(u_new, rho_new, eps_new, *ref_cell_thermo(gas, rho_new, eps_new))
@@ -146,7 +147,10 @@ def ref_sgh_advance(base_state, base_mesh, work_state, gas, dt, bc_left, bc_righ
                             base_mesh.node_mass[0], u_n[0], u_new[0])
     ir, wr = sgh._side_flux(bc_right, -1.0, dt, p_bnd_r, p_star[-1], u_star[-1],
                             base_mesh.node_mass[-1], u_n[-1], u_new[-1])
-    return new_mesh, new_state, p_star, u_star, du, production, diag.BoundaryFlux(il, ir, wl, wr)
+    # audited with the jump the star pressure saw, or the corrector's Delta u*
+    du_audit = du if p_pred is None else du_star
+    return (new_mesh, new_state, p_star, u_star, du, (p_cell - p_star) * du_audit,
+            diag.BoundaryFlux(il, ir, wl, wr))
 
 
 def ref_sgh_step(state, mesh, gas, dt, bc_left, bc_right, mode):
@@ -157,8 +161,7 @@ def ref_sgh_step(state, mesh, gas, dt, bc_left, bc_right, mode):
         return mesh1, prov, (production, scale, flux, du >= 0.0, du, p_star, u_star)
     mesh2, new_state, p_star2, u_star2, _, production2, flux = ref_sgh_advance(
         state, mesh, prov, gas, dt, bc_left, bc_right, p_pred=p_star)
-    return mesh2, new_state, (0.5 * (production + production2), scale, flux, None, du, p_star2,
-                              u_star2)
+    return mesh2, new_state, (production2, scale, flux, None, du, p_star2, u_star2)
 
 
 def ref_velocity_jumps(state):
