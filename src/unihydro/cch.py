@@ -10,8 +10,9 @@ two-shock solve of ``closure._two_shock_kernel`` instead of the plain acoustic
 values: a linear force balance that keeps the ``k rho d^2`` compression term
 on a compressed side. Wall and prescribed-velocity boundary nodes follow the
 same rule. Such nodes are tagged ACOUSTIC (quadratic root rejected).
-The quadratic solve (``closure``) finds the correction to the acoustic guess,
-with no |A| ~ 0 band on its fast path, straight into the N+1 nodal arrays.
+The quadratic solve (``closure``) finds delta = u* - u_ac, the correction to the
+acoustic guess, as -2 C' / (B' + sign(B') sqrt(D)): continuous through A = 0, so
+no |A| ~ 0 band on its fast path. It writes straight into the N+1 nodal arrays.
 """
 
 from __future__ import annotations

@@ -10,21 +10,20 @@ force balance gives either a linear (acoustic) solve or a quadratic solve with
 an admissibility test. Every one-sided star pressure is ``star_pressure``.
 
 ``solve_nodes`` is the cell-centered nodal solve. Its quadratic solve finds the
-correction delta = u* - u_ac to the acoustic guess u_ac from A delta^2 + B' delta
-+ C' = 0: A = k rl - k rr, B' = 2 (k rl dl0 + k rr dr0) - zl - zr and C' = k rl dl0^2
-- k rr dr0^2 + r0, with dl0 = u_ac - ul, dr0 = ur - u_ac, z = rho c, k = (gamma+1)/2
-and r0 = (pl - zl dl0) - (pr - zr dr0) the rounding of the linear part (zero at u_ac
-in exact arithmetic). The root delta = -2 C' / (B' + sign(B') sqrt(D)), D = B'^2
-- 4 A C' (B' > 0 at a strongly expanding node), divides by no A, so only rejected
-nodes with D <= 0 test the band |A| ~ 0 (for the linear part's root in u); A and
-C' flip sign under a mirror swap. A node is accepted where D > 0 and c >= k|d| on
-both sides, else it gets the two-shock solve ``_two_shock_kernel`` on the jumps
-already formed: a linear force balance whose impedance on a compressed side is
-``rho c + k rho (compression)``, with the compression measured from the acoustic
-guess. This is the two-shock impedance of Dukowicz (J. Comput. Phys. 61, 1985),
-and it keeps the same ``k rho d^2`` compression term the staggered star pressure
-carries. An expanding side adds no impedance, so without compression the solve
-is the acoustic one.
+correction delta = u* - u_ac to the acoustic guess u_ac from A delta^2 + B' delta + C' = 0:
+A = k rl - k rr, B' = 2 (k rl dl0 + k rr dr0) - zl - zr and C' = k rl dl0^2 - k rr dr0^2
++ r0, with dl0 = u_ac - ul, dr0 = ur - u_ac, z = rho c, k = (gamma+1)/2 and r0 =
+(pl - zl dl0) - (pr - zr dr0) the rounding of the linear part (zero at u_ac in exact
+arithmetic). The root delta = -2 C' / (B' + sign(B') sqrt(D)), D = B'^2 - 4 A C'
+(B' > 0 at a strongly expanding node), divides by no A, so only rejected nodes with
+D <= 0 test the band |A| ~ 0 (for the linear part's root in u); A and C' flip sign
+under a mirror swap. A node is accepted where D > 0 and c >= k|d| on both sides, else
+it gets the two-shock solve ``_two_shock_kernel`` on the jumps already formed: a linear
+force balance whose impedance on a compressed side is ``rho c + k rho (compression)``,
+with the compression measured from the acoustic guess. This is the two-shock impedance
+of Dukowicz (J. Comput. Phys. 61, 1985), and it keeps the same ``k rho d^2`` compression
+term the staggered star pressure carries. An expanding side adds no impedance, so
+without compression the solve is the acoustic one.
 """
 
 from __future__ import annotations
