@@ -5,14 +5,15 @@ of the two adjacent cells (acoustic or quadratic solver); a forward-Euler
 update then advances momentum, total energy, and the node positions. Sharing
 one star state per node is what makes the interior fluxes cancel exactly.
 
-With the quadratic solver, a node whose quadratic root is rejected gets the
-two-shock solve of ``closure._two_shock_kernel`` instead of the plain acoustic
-values: a linear force balance that keeps the ``k rho d^2`` compression term
-on a compressed side. Wall and prescribed-velocity boundary nodes follow the
-same rule. Such nodes are tagged ACOUSTIC (quadratic root rejected).
-The quadratic solve (``closure``) finds delta = u* - u_ac, the correction to the
-acoustic guess, as -2 C' / (B' + sign(B') sqrt(D)): continuous through A = 0, so
-no |A| ~ 0 band on its fast path. It writes straight into the N+1 nodal arrays.
+With the quadratic solver, a node whose quadratic root is rejected is solved
+once, by the two-shock solve of ``closure._two_shock_kernel`` instead of the
+plain acoustic values: a linear force balance that keeps the ``k rho d^2``
+compression term on a compressed side. Wall and prescribed-velocity boundary
+nodes follow the same rule. Such nodes are tagged ACOUSTIC (quadratic root
+rejected). The quadratic solve (``closure``) finds delta = u* - u_ac, the
+correction to the acoustic guess, as -2 C' / (B' + sign(B') sqrt(D)): it is
+continuous through A = 0, so it needs no |A| ~ 0 band, and exactly mirror
+symmetric. It writes straight into the N+1 nodal arrays.
 """
 
 from __future__ import annotations

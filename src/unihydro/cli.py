@@ -103,7 +103,7 @@ def resolve_problem(problem: str | ProblemSpec) -> ProblemSpec:
                 with open(problem[1:], "r", encoding="utf-8") as fh:
                     return ProblemSpec.from_json(fh.read())
             return problems_mod.by_name(problem)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ConfigError(str(exc)) from exc
     raise ConfigError(f"cannot resolve problem from {problem!r}")
 
@@ -135,8 +135,8 @@ def run(config: RunConfig) -> RunResult:
 
     ledger = diag.ConservationLedger.open(mesh, state)
     monitor = diag.EntropyMonitor()
-    # a time equal to t_end is the final profile
-    snapshots = sorted(t for t in config.snapshot_times if t < t_end)
+    # a time equal to t_end is the final profile; a repeated time is one snapshot
+    snapshots = sorted({t for t in config.snapshot_times if t < t_end})
 
     t = 0.0
     steps = budget_check = 0
@@ -444,7 +444,10 @@ def main(argv=None) -> int:
             return 0
         if args.command == "converge":
             config = _run_config(args)
-            table = run_convergence(config, _number_list(args.cells, int))
+            n_list = _number_list(args.cells, int)
+            if not n_list:
+                raise ConfigError(f"--cells: expected at least one resolution, got {args.cells!r}")
+            table = run_convergence(config, n_list)
             text = table.format()
             print(text, end="")
             if config.out:

@@ -15,15 +15,16 @@ A = k rl - k rr, B' = 2 (k rl dl0 + k rr dr0) - zl - zr and C' = k rl dl0^2 - k 
 + r0, with dl0 = u_ac - ul, dr0 = ur - u_ac, z = rho c, k = (gamma+1)/2 and r0 =
 (pl - zl dl0) - (pr - zr dr0) the rounding of the linear part (zero at u_ac in exact
 arithmetic). The root delta = -2 C' / (B' + sign(B') sqrt(D)), D = B'^2 - 4 A C'
-(B' > 0 at a strongly expanding node), divides by no A, so only rejected nodes with
-D <= 0 test the band |A| ~ 0 (for the linear part's root in u); A and C' flip sign
-under a mirror swap. A node is accepted where D > 0 and c >= k|d| on both sides, else
-it gets the two-shock solve ``_two_shock_kernel`` on the jumps already formed: a linear
-force balance whose impedance on a compressed side is ``rho c + k rho (compression)``,
-with the compression measured from the acoustic guess. This is the two-shock impedance
-of Dukowicz (J. Comput. Phys. 61, 1985), and it keeps the same ``k rho d^2`` compression
-term the staggered star pressure carries. An expanding side adds no impedance, so
-without compression the solve is the acoustic one.
+(B' > 0 at a strongly expanding node), divides by no A, so it needs no band |A| ~ 0;
+A and C' flip sign under a mirror swap, and the solve is exactly mirror symmetric at
+every node. A node is accepted where D > 0 and c >= k|d| on both sides. ``solve_nodes``
+solves each rejected node once, by the two-shock solve ``_two_shock_kernel`` on the
+jumps already formed: a linear force balance whose impedance on a compressed side is
+``rho c + k rho (compression)``, with the compression measured from the acoustic
+guess. This is the two-shock impedance of Dukowicz (J. Comput. Phys. 61, 1985), and
+it keeps the same ``k rho d^2`` compression term the staggered star pressure carries.
+An expanding side adds no impedance, so without compression the solve is the acoustic
+one.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, dl0, dr0, zl,
     """The quadratic force balance for delta = u* - u_ac, with the admissibility
     test, written into ``out`` = (u_star, p_star_left_side, p_star_right_side,
     accepted) and returned. ``dl0``, ``dr0`` are the jumps at u_ac and ``zl``,
-    ``zr`` the impedances; a rejected node carries u_ac, for the caller to fill.
+    ``zr`` the impedances. The star state of a rejected node is left for the
+    caller to fill (it may be NaN).
     """
     k = 0.5 * (gamma + 1.0)
     u_star, ps_l, ps_r, accepted = out
@@ -122,19 +124,8 @@ def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, dl0, dr0, zl,
         # an admissible jump is finite, so this also rejects a NaN delta
         np.logical_and(disc > 0.0, _admissible(cl, dl, k) & _admissible(cr, dr, k), out=accepted)
         np.add(u_ac, delta, out=u_star)
-        if not _least(accepted):   # rare: a rejected node carries the acoustic guess
-            j = (~accepted).nonzero()[0]
-            u_star[j], dl[j], dr[j] = u_ac[j], dl0[j], dr0[j]
-            j = j[disc[j] <= 0.0]   # no real root: in the |A| band, the linear part's root in u
-            if j.size and (j := j[np.abs(A[j]) < 1e-12 * k * np.maximum(rl[j], rr[j])]).size:
-                m_l, m_r = rl[j] * ul[j], rr[j] * ur[j]
-                u = ((k * (m_l * ul[j] - m_r * ur[j]) + (pl[j] - pr[j]) + zl[j] * ul[j]
-                      + zr[j] * ur[j]) / ((gamma + 1.0) * (m_l - m_r) + zl[j] + zr[j]))
-                ok = _admissible(cl[j], u - ul[j], k) & _admissible(cr[j], u - ur[j], k)
-                j, u = j[ok], u[ok]
-                u_star[j], dl[j], dr[j], accepted[j] = u, u - ul[j], ur[j] - u, True
-    np.add(pl - zl * dl, krl * dl * dl, out=ps_l)   # star_pressure, k rho formed once
-    np.add(pr - zr * dr, krr * dr * dr, out=ps_r)
+        np.add(pl - zl * dl, krl * dl * dl, out=ps_l)   # star_pressure, k rho formed once
+        np.add(pr - zr * dr, krr * dr * dr, out=ps_r)
     return out
 
 

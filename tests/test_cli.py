@@ -196,7 +196,7 @@ class TestRun:
         assert "sod_sgh_N20.summary" in names
         assert any(n.startswith("sod_sgh_N20_t0.01") for n in names)
 
-    @pytest.mark.parametrize("snapshots", [(0.1,), (0.05, 0.1, 0.15)])
+    @pytest.mark.parametrize("snapshots", [(0.1,), (0.05, 0.1, 0.15), (0.1, 0.1)])
     def test_snapshot_does_not_restart_the_ramp(self, snapshots):
         """A snapshot clamps one step; dt then grows from the step the CFL and
         growth rule chose, so the run stays close to the one without output."""
@@ -350,6 +350,7 @@ class TestCommandLine:
         ("run", "--t-end", "nan", "t_end"),
         ("run", "--t-end", "inf", "t_end"),
         ("converge", "--cells", "a,b", "'a,b'"),
+        ("converge", "--cells", ",", "--cells"),
         ("run", "--snapshots", "0.1,nan", "snapshot_times"),
         ("run", "--snapshots", "5,-1", "snapshot_times"),
         ("run", "--cfl", "abc", "--cfl"),
@@ -391,6 +392,15 @@ class TestCommandLine:
             argv = ["run", "--problem", f"@{path}", "--cells", "10", "--method", method]
             assert cli.main(argv) == 3
             assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "reference"])
+    def test_deeply_nested_spec_file_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "spec.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        required = (["--t", "0.1", "--points", "5", "--out", str(tmp_path / "ref.csv")]
+                    if command == "reference" else [])
+        assert cli.main([command, "--problem", f"@{path}", *required]) == 3
+        assert "recursion" in capsys.readouterr().err
 
     def test_solver_failure_exit_code(self, capsys):
         code = cli.main(["run", "--problem", "sedov", "--method", "cch",

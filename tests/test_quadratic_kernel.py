@@ -4,12 +4,14 @@ where-guarded form.
 The library kernel tests admissibility as c >= k|d| and solves for the
 correction to the acoustic guess without division guards. Both kernels must
 accept the same nodes, except where c = k|d| holds to 8 ulps of c at the
-reference's root or at the exact root. Where both reject a node they must give
-bitwise the same star state (the acoustic guess); where both accept it, (a) the
-same star velocity to 1e-12 of the velocity scale and (b) a force-balance
-residual |p*_L - p*_R| / (|p*_L| + |p*_R|) no worse than the reference's or
-than 8 ulps. The one exception: the new root is the exact root (``exact_root``)
-to 1e-12 of the velocity scale, and, for (a), the reference's root is not.
+reference's root or at the exact root, and where the balance has no real root
+and only the reference's |A| band accepted its linear root. Where both accept a
+node they must give (a) the same star velocity to 1e-12 of the velocity scale
+and (b) a force-balance residual |p*_L - p*_R| / (|p*_L| + |p*_R|) no worse than
+the reference's or than 8 ulps. The one exception: the new root is the exact
+root (``exact_root``) to 1e-12 of the velocity scale, and, for (a), the
+reference's root is not. A rejected node's star state is not the kernel's:
+``solve_nodes`` gives it the two-shock solve (``assert_two_shock_where_rejected``).
 Where star pressures cancel to far below their terms, the residual of either
 kernel is the rounding of their evaluation, and the new one can be the larger
 at a root as exact.
@@ -27,7 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unihydro as uh
-from unihydro.closure import _acoustic_kernel, _quadratic_kernel, star_pressure
+from unihydro.closure import (ACOUSTIC, _acoustic_kernel, _quadratic_kernel,
+                              _two_shock_kernel, solve_nodes, star_pressure)
 
 GAMMA = 1.4
 K = 0.5 * (GAMMA + 1.0)
@@ -117,9 +120,9 @@ def balance_residual(ps_l, ps_r):
 
 
 def assert_matches_reference(rl, cl, pl, ul, rr, cr, pr, ur):
-    """Same accept mask up to bound ties; bitwise-equal star states where both
-    reject; where both accept, (a) the same root to 1e-12 of |u*| + |ul| + |ur|
-    + cl + cr and (b) a residual no worse than the reference's or 8 ulps.
+    """Same accept mask up to bound ties and the reference's |A| band; where both
+    accept, (a) the same root to 1e-12 of |u*| + |ul| + |ur| + cl + cr and (b) a
+    residual no worse than the reference's or 8 ulps.
 
     A node may miss (a) or (b) only where its new root is the exact root to
     1e-12 of that velocity scale, and miss (a) only where the reference's root
@@ -136,14 +139,12 @@ def assert_matches_reference(rl, cl, pl, ul, rr, cr, pr, ur):
     tie = _near_bound(cl, u_try - ul) | _near_bound(cr, u_try - ur)
     for i in np.flatnonzero(flipped & ~tie):   # a tie at the exact root, where u_try is off
         exact = exact_root(*(a[i] for a in args), u_ac[i])
-        assert exact is not None and any(
+        if exact is None:   # no real root: only the reference's |A| band gave one
+            assert ref_ok[i] and abs(rl[i] - rr[i]) < 1e-12 * max(rl[i], rr[i]), i
+            continue
+        assert any(
             abs(Decimal(c) - Decimal(K) * abs(exact - Decimal(u))) <= Decimal(8.0 * EPS * c)
             for c, u in ((cl[i], ul[i]), (cr[i], ur[i]))), f"accept flips away from c = k|d| at {i}"
-    # rejected by both: the acoustic guess and its star pressures
-    rejected = ~ref_ok & ~new_ok
-    for old, fresh in zip(ref, new):
-        np.testing.assert_array_equal(old[rejected].view(np.int64),
-                                      fresh[rejected].view(np.int64))
     # accepted by both: (a) the same root to round-off, (b) a force balance no worse
     both = ref_ok & new_ok
     (ref_u, ref_l, ref_r), (u_star, ps_l, ps_r) = ref, new
@@ -161,11 +162,28 @@ def assert_matches_reference(rl, cl, pl, ul, rr, cr, pr, ur):
     return int(np.count_nonzero(new_ok)), int(np.count_nonzero(off_a | off_b))
 
 
+def assert_two_shock_where_rejected(rl, cl, pl, ul, rr, cr, pr, ur, rejected):
+    """``solve_nodes`` rejects exactly the nodes ``rejected`` and gives them
+    bitwise ``_two_shock_kernel`` on the gathered subset, one pressure on both
+    sides; every output is finite."""
+    args = tuple(np.asarray(a, dtype=float) for a in (rl, cl, pl, ul, rr, cr, pr, ur))
+    u_star, ps_l, ps_r, order = solve_nodes(*args, GAMMA)
+    assert np.isfinite(u_star).all() and np.isfinite(ps_l).all() and np.isfinite(ps_r).all()
+    j = np.asarray(rejected)
+    assert np.flatnonzero(order == ACOUSTIC).tolist() == j.tolist()
+    rl, cl, pl, ul, rr, cr, pr, ur = (a[j] for a in args)
+    u_ac, _ = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
+    u_2s, p_2s = _two_shock_kernel(rl, cl, pl, ul, rr, cr, pr, ur, GAMMA, u_ac - ul, ur - u_ac)
+    for got, want in ((u_star[j], u_2s), (ps_l[j], p_2s), (ps_r[j], p_2s)):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_covers_linear_negative_discriminant_and_zero_jump():
     # node 0: equal densities (A = 0, linear); 1: uniform flow (d = 0 on both
     # sides); 2: strong contrast with a discriminant below zero; 3: mild shock;
     # 4: a double root (disc == 0 exactly) that would be admissible; 5: |A|
-    # below the linear tolerance but not zero, disc < 0, admissible linear root
+    # far below k rho but not zero, disc < 0: rejected, although the linear
+    # part alone has an admissible root
     u5 = 0.4166666666666678
     rl = np.array([1.0, 2.0, 10.0, 1.0, 4.0, 1.0])
     cl = np.array([1.0, 1.5, 1.0, 1.2, 1.5, 1.0])
@@ -185,17 +203,17 @@ def test_covers_linear_negative_discriminant_and_zero_jump():
     assert cl[4] >= K * abs(root4 - ul[4]) and cr[4] >= K * abs(root4 - ur[4])
     u_ac, _ = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
     u_star, _, _, accepted = quadratic(rl, cl, pl, ul, rr, cr, pr, ur, u_ac)
-    assert accepted.tolist() == [True, True, False, True, False, True]
-    assert u_star[1] == 0.3 and u_star[2] == u_ac[2] and u_star[4] == u_ac[4]
-    assert u_star[5] == C[5] / -B[5]
+    assert accepted.tolist() == [True, True, False, True, False, False]
+    assert u_star[1] == 0.3
     assert_matches_reference(rl, cl, pl, ul, rr, cr, pr, ur)
+    assert_two_shock_where_rejected(rl, cl, pl, ul, rr, cr, pr, ur, [2, 4, 5])
 
 
 def test_expanding_equal_density_and_rejected_nodes():
     # node 0: rho = c = 1, p = 0, u = 0 | 1 expands so strongly that B' > 0 in
     # A d^2 + B' d + C' = 0 (d = u* - u_ac): a root formed as if B' < 0 is 0/0;
     # 1: equal densities, A = 0 exactly, whose root is rational (3/26);
-    # 2: disc < 0 outside the |A| band, rejected with the acoustic guess
+    # 2: disc < 0 with A far from 0, rejected
     rl, cl, pl, ul = (np.array(v) for v in ([1.0, 2.0, 10.0], [1.0, 1.5, 1.0],
                                             [0.0, 3.0, 101.0], [0.0, 0.25, -0.42]))
     rr, cr, pr, ur = (np.array(v) for v in ([1.0, 2.0, 0.1], [1.0, 1.25, 1.0],
@@ -203,12 +221,11 @@ def test_expanding_equal_density_and_rejected_nodes():
     u_ac, _ = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
     u_star, ps_l, ps_r, accepted = quadratic(rl, cl, pl, ul, rr, cr, pr, ur, u_ac)
     assert accepted.tolist() == [True, True, False]
-    assert np.isfinite(u_star).all() and np.isfinite(ps_l).all() and np.isfinite(ps_r).all()
     assert u_star[0] == 0.5 and ps_l[0] == ps_r[0] == -0.2
     assert abs(u_star[1] - 3.0 / 26.0) <= 4.0 * EPS * (abs(ul[1]) + abs(ur[1]))
     assert balance_residual(ps_l[1], ps_r[1]) <= 8.0 * EPS
-    assert u_star[2] == u_ac[2]
     assert_matches_reference(rl, cl, pl, ul, rr, cr, pr, ur)
+    assert_two_shock_where_rejected(rl, cl, pl, ul, rr, cr, pr, ur, [2])
 
 
 def test_non_finite_coefficients_raise():
@@ -248,18 +265,17 @@ def test_random_states_match_reference(nodes):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_node, min_size=1, max_size=40))
 def test_mirrored_nodes_mirror_exactly(nodes):
-    """Swapping the sides and negating the velocities negates u* and swaps the
-    star pressures, exactly (zeros of either sign compare equal), except in the
-    |A| band, whose root keeps the earlier u-form and its rounding."""
+    """With either solver of ``solve_nodes``, swapping the sides and negating the
+    velocities negates u*, swaps the star pressures and keeps the order, exactly
+    (zeros of either sign compare equal), at every node; every output is finite."""
     rl, cl, pl, ul, rr, cr, pr, ur = _node_arrays(nodes)
-    u_ac, _ = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
-    u_star, ps_l, ps_r, accepted = quadratic(rl, cl, pl, ul, rr, cr, pr, ur, u_ac)
-    m_ac, _ = _acoustic_kernel(rr, cr, pr, -ur, rl, cl, pl, -ul)
-    m_star, m_l, m_r, m_accepted = quadratic(rr, cr, pr, -ur, rl, cl, pl, -ul, m_ac)
-    kept = ~((rl != rr) & (np.abs(rl - rr) < 1e-12 * np.maximum(rl, rr)))
-    assert np.array_equal(m_accepted[kept], accepted[kept])
-    assert np.array_equal(m_star[kept], -u_star[kept])
-    assert np.array_equal(m_l[kept], ps_r[kept]) and np.array_equal(m_r[kept], ps_l[kept])
+    for solver in ("acoustic", "quadratic"):
+        u_star, ps_l, ps_r, order = solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, GAMMA, solver)
+        m_star, m_l, m_r, m_order = solve_nodes(rr, cr, pr, -ur, rl, cl, pl, -ul, GAMMA, solver)
+        assert np.isfinite((u_star, ps_l, ps_r, m_star, m_l, m_r)).all()
+        assert np.array_equal(m_order, order)
+        assert np.array_equal(m_star, -u_star)
+        assert np.array_equal(m_l, ps_r) and np.array_equal(m_r, ps_l)
 
 
 def _riemann_array_spec(seed):
