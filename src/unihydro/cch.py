@@ -52,9 +52,14 @@ class NodalField:
 class CchStepReport:
     nodal: NodalField
     entropy_production: np.ndarray
-    entropy_scale: np.ndarray       # P^n (|u - u*_L| + |u*_R - u|)
+    start: CchState                 # the state at t^n
     boundary: BoundaryFlux
     expansion: np.ndarray | None = None  # None: expanding cells produce entropy too
+
+    @property
+    def entropy_scale(self) -> np.ndarray:   # P^n (|u - u*_L| + |u*_R - u|), formed when read
+        u, us = self.start.u, self.nodal.u_star
+        return self.start.p * (np.abs(u - us[:-1]) + np.abs(us[1:] - u))
 
 
 def _boundary_node(bc: BoundaryCondition, rho, c, p, u, gamma: float,
@@ -89,15 +94,16 @@ def _boundary_node(bc: BoundaryCondition, rho, c, p, u, gamma: float,
 
 
 def solve_all_nodes(state: CchState, gas: IdealGas, bc_left: BoundaryCondition,
-                    bc_right: BoundaryCondition, solver: str = "quadratic") -> NodalField:
-    """Star states at every node: ``closure.solve_nodes`` inside, boundary
-    rules at the two ends."""
+                    bc_right: BoundaryCondition, solver: str = "quadratic",
+                    scratch=None) -> NodalField:
+    """Star states at every node: ``closure.solve_nodes`` inside (with its
+    ``scratch``), boundary rules at the two ends."""
     n_nodes = len(state.rho) + 1
     u_star, psl, psr = np.empty(n_nodes), np.empty(n_nodes), np.empty(n_nodes)
     order = np.empty(n_nodes, dtype=np.int8)
     closure.solve_nodes(state.rho[:-1], state.c[:-1], state.p[:-1], state.u[:-1],
                         state.rho[1:], state.c[1:], state.p[1:], state.u[1:], gas.gamma,
-                        solver, out=(u_star[1:-1], psl[1:-1], psr[1:-1], order[1:-1]))
+                        solver, (u_star[1:-1], psl[1:-1], psr[1:-1], order[1:-1]), scratch)
     u_star[0], psl[0], psr[0], order[0] = _boundary_node(
         bc_left, state.rho[0], state.c[0], state.p[0], state.u[0], gas.gamma, solver, "left")
     u_star[-1], psl[-1], psr[-1], order[-1] = _boundary_node(
@@ -107,29 +113,30 @@ def solve_all_nodes(state: CchState, gas: IdealGas, bc_left: BoundaryCondition,
 
 def step(state: CchState, mesh: Mesh1D, gas: IdealGas, dt: float,
          bc_left: BoundaryCondition, bc_right: BoundaryCondition,
-         solver: str = "quadratic", floors=(0.0, 0.0)):
-    """One forward-Euler step of the conservative update; ``floors`` as in ``sgh.step``."""
-    nodal = solve_all_nodes(state, gas, bc_left, bc_right, solver)
-    ps = nodal.p_star
-    us = nodal.u_star
-    m = mesh.cell_mass
-    dt_m = dt / m
+         solver: str = "quadratic", floors=(0.0, 0.0), workspace=None):
+    """One forward-Euler step of the conservative update; ``floors`` and
+    ``workspace`` as in ``sgh.step``."""
+    ws = workspace or mesh_mod.Workspace(len(state.rho))
+    nodal = solve_all_nodes(state, gas, bc_left, bc_right, solver, ws.faces)
+    us, m, (dt_m, t, d_left, d_right) = nodal.u_star, mesh.cell_mass, ws.cells
+    ps = np.multiply(0.5, np.add(nodal.p_star_left, nodal.p_star_right, ws.nodes), ws.nodes)
+    np.divide(dt, m, dt_m)
 
-    work = ps * us
-    u_new = state.u + dt_m * (ps[:-1] - ps[1:])
-    E_new = state.E + dt_m * (work[:-1] - work[1:])
+    u_new = np.subtract(ps[:-1], ps[1:])   # u + dt/m (p*_L - p*_R), E + dt/m (p*u*_L - p*u*_R)
+    np.add(state.u, np.multiply(dt_m, u_new, u_new), u_new)
+    E_new = np.multiply(ps[:-1], us[:-1])
+    np.add(state.E, np.multiply(dt_m, np.subtract(E_new, np.multiply(ps[1:], us[1:], t), E_new),
+                                E_new), E_new)
     new_mesh = mesh_mod.update_geometry(mesh, us, dt)
     rho_new = m / new_mesh.cell_volumes
-    eps_new = E_new - 0.5 * u_new ** 2
+    eps_new = E_new - np.multiply(0.5, np.square(u_new, t), t)
     new_state = CchState(rho_new, u_new, E_new, eps_new,
                          *mesh_mod.cell_thermo(gas, rho_new, eps_new, floors))
 
-    d_left, d_right = state.u - us[:-1], us[1:] - state.u
-    production = entropy_production_cch(state.p, d_left, d_right,
-                                        nodal.p_star_right, nodal.p_star_left)
+    production = entropy_production_cch(  # d_left = u - u*_L, d_right = u*_R - u
+        state.p, np.subtract(state.u, us[:-1], d_left), np.subtract(us[1:], state.u, d_right),
+        nodal.p_star_right, nodal.p_star_left, t)
     p0, pn, u0, un = float(ps[0]), float(ps[-1]), float(us[0]), float(us[-1])
     flux = BoundaryFlux(impulse_left=dt * p0, impulse_right=-dt * pn,
                         work_left=dt * p0 * u0, work_right=-dt * pn * un)
-    scale = state.p * (np.abs(d_left) + np.abs(d_right))
-    report = CchStepReport(nodal, production, scale, flux)
-    return new_mesh, new_state, report
+    return new_mesh, new_state, CchStepReport(nodal, production, state, flux)

@@ -5,6 +5,7 @@ point (``run``, ``converge``, ``reference`` subcommands)."""
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time as _time
@@ -19,7 +20,7 @@ from . import problems as problems_mod
 from . import sgh as sgh_mod
 from .errors import ConfigError, MeshTangled, SolverFailure
 from .eos import IdealGas
-from .mesh import CchState, SghState, _least
+from .mesh import CchState, SghState, Workspace, _least
 from .problems import ProblemSpec
 
 __all__ = ["RunConfig", "RunResult", "compute_dt", "run",
@@ -129,9 +130,10 @@ def run(config: RunConfig) -> RunResult:
         mesh, state = problems_mod.build_initial(problem, config.n_cells, config.method)
     except ValueError as exc:
         raise ConfigError(f"initial state of {problem.name}: {exc}") from exc
-    floors = _positivity_floors(state)
-    step = (partial(sgh_mod.step, mode=config.sgh_mode, floors=floors) if config.method == "sgh"
-            else partial(cch_mod.step, solver=config.cch_solver, floors=floors))
+    _make_out_dir(config.out)
+    bound = {"floors": _positivity_floors(state), "workspace": Workspace(config.n_cells)}
+    step = (partial(sgh_mod.step, mode=config.sgh_mode, **bound) if config.method == "sgh"
+            else partial(cch_mod.step, solver=config.cch_solver, **bound))
 
     ledger = diag.ConservationLedger.open(mesh, state)
     monitor = diag.EntropyMonitor()
@@ -145,10 +147,6 @@ def run(config: RunConfig) -> RunResult:
     time_scale = max(t_end, 1.0)
     try:
         while t_end - t > 1e-14 * time_scale:
-            if steps >= budget_check:   # every 1,024 steps: can the CFL step reach t_end?
-                left, budget_check = _MAX_STEPS - steps, min(steps + 1024, _MAX_STEPS)
-                if not t_end - t <= left * _cfl_candidate(state, mesh, config.cfl):
-                    raise SolverFailure(f"t_end needs more than the {left} steps left at CFL")
             dt = compute_dt(state, mesh, config.cfl, dt_prev, config.dt_max,
                             config.dt_growth, t_end - t)
             if dt_prev is None:
@@ -156,6 +154,13 @@ def run(config: RunConfig) -> RunResult:
                               else 1e-4 * dt))
             # the growth limit follows the rule's step, not the output clamp
             dt_prev = dt
+            if steps >= budget_check:   # every 1,024 steps: can the dt rule reach t_end?
+                left, budget_check = _MAX_STEPS - steps, min(steps + 1024, _MAX_STEPS)
+                # later steps stay under the CFL step, dt_max and dt grown each step (1,024+)
+                ramp = math.exp(min(max(left, 1024) * math.log(config.dt_growth), 700.0))
+                reach = min(_cfl_candidate(state, mesh, config.cfl), config.dt_max, dt * ramp)
+                if not t_end - t <= left * reach:
+                    raise SolverFailure(f"t_end needs more than the {left} steps left")
             if snapshots:
                 dt = min(dt, snapshots[0] - t)
 
@@ -164,7 +169,7 @@ def run(config: RunConfig) -> RunResult:
             t += dt
             steps += 1
             diag.audit_step(ledger, mesh, state, report.boundary)
-            monitor.update(report.entropy_production, report.entropy_scale,
+            monitor.update(report.entropy_production, lambda: report.entropy_scale,
                            report.expansion)
             if snapshots and t >= snapshots[0] * (1.0 - 1e-14):
                 snapshots.pop(0)
@@ -183,6 +188,14 @@ def run(config: RunConfig) -> RunResult:
 
 
 # -- output files --------------------------------------------------------------
+
+def _make_out_dir(path: str | None):
+    try:
+        if path:
+            os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot make directory {path!r}: {exc.strerror}") from exc
+
 
 def _run_stem(config: RunConfig, problem: ProblemSpec) -> str:
     return f"{problem.name}_{config.method}_N{config.n_cells}"
@@ -447,11 +460,11 @@ def main(argv=None) -> int:
             n_list = _number_list(args.cells, int)
             if not n_list:
                 raise ConfigError(f"--cells: expected at least one resolution, got {args.cells!r}")
+            _make_out_dir(config.out)
             table = run_convergence(config, n_list)
             text = table.format()
             print(text, end="")
             if config.out:
-                os.makedirs(config.out, exist_ok=True)
                 path = os.path.join(config.out,
                                     f"{table.problem}_{table.method}_convergence.csv")
                 with open(path, "w", encoding="utf-8", newline="\n") as fh:

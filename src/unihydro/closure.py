@@ -46,39 +46,50 @@ def star_pressure(p, z, rho, d, k):
     return p - z * d + k * rho * d * d
 
 
-def sgh_star_pressure(rho, c, p, du, gamma: float):
+def _buffers(shape, count: int) -> list:   # the scratch of a call given none
+    return [np.empty(shape) for _ in range(count)]
+
+
+def sgh_star_pressure(rho, c, p, du, gamma: float, scratch=None):
     """Star pressure of a cell with velocity jump du across it.
 
     Compression (du < 0) follows the quadratic expansion expressed through
     du = rho c dtau; expansion and uniform flow keep the cell pressure, which
-    makes smooth-flow entropy production exactly zero.
+    makes smooth-flow entropy production exactly zero. ``scratch``: two buffers
+    of the broadcast shape for the temporaries.
     """
-    rho = np.asarray(rho, dtype=float)
-    c = np.asarray(c, dtype=float)
-    p = np.asarray(p, dtype=float)
-    du = np.asarray(du, dtype=float)
-    compressed = star_pressure(p, rho * c, rho, du, 0.5 * (gamma + 1.0))
-    return np.where(du < 0.0, compressed, p)
+    z, t = scratch or _buffers(np.broadcast(rho, c, p, du).shape, 2)
+    # star_pressure(p, rho c, rho, du, k) = (p - (rho c) du) + ((k rho) du) du
+    np.multiply(np.multiply(np.multiply(0.5 * (gamma + 1.0), rho, t), du, t), du, t)
+    z = np.add(np.subtract(p, np.multiply(np.multiply(rho, c, z), du, z), z), t, z)
+    return np.where(np.less(du, 0.0), z, p)
 
 
-def _balance_velocity(zl, ul, zr, ur, dp):
+def _balance_velocity(zl, ul, zr, ur, dp, out, t):
     """u* = (zl ul + zr ur + dp)/(zl + zr), dp = pl - pr, in perturbation form:
     exact (no rounding) for identical inputs, bitwise symmetric under a mirror swap."""
-    return 0.5 * (ul + ur) + (0.5 * (zr - zl) * (ur - ul) + dp) / (zl + zr)
+    # into out, with the buffer t: 0.5 (ul + ur) + (0.5 (zr - zl) (ur - ul) + dp) / (zl + zr)
+    np.multiply(np.multiply(0.5, np.subtract(zr, zl, out), out), np.subtract(ur, ul, t), out)
+    np.divide(np.add(out, dp, out), np.add(zl, zr, t), out)
+    return np.add(np.multiply(0.5, np.add(ul, ur, t), t), out, out)
 
 
-def _linear_balance(zl, pl, ul, zr, pr, ur):
-    """Impedance-weighted star (velocity, pressure), both exact and symmetric."""
-    u_star = _balance_velocity(zl, ul, zr, ur, pl - pr)
-    dl = u_star - ul
-    dr = u_star - ur
-    p_star = 0.5 * ((pl - zl * dl) + (pr + zr * dr))
-    return u_star, p_star
+def _linear_balance(zl, pl, ul, zr, pr, ur, out=None):
+    """Impedance-weighted star (velocity, pressure), both exact and symmetric,
+    written into the first two of the three buffers ``out``."""
+    u_star, p_star, t = out or _buffers(np.shape(zl), 3)
+    _balance_velocity(zl, ul, zr, ur, np.subtract(pl, pr, p_star), u_star, t)
+    # p* = 0.5 ((pl - zl dl) + (pr + zr dr)), dl = u* - ul, dr = u* - ur
+    np.subtract(pl, np.multiply(zl, np.subtract(u_star, ul, t), t), p_star)
+    np.add(p_star, np.add(pr, np.multiply(zr, np.subtract(u_star, ur, t), t), t), p_star)
+    return u_star, np.multiply(0.5, p_star, p_star)
 
 
-def _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur):
-    """Linear nodal solve with the acoustic impedances rho c."""
-    return _linear_balance(rl * cl, pl, ul, rr * cr, pr, ur)
+def _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, out=None):
+    """Linear nodal solve with the acoustic impedances rho c; ``out``: five buffers."""
+    u_star, p_star, t, zl, zr = out or _buffers(np.shape(rl), 5)
+    return _linear_balance(np.multiply(rl, cl, zl), pl, ul, np.multiply(rr, cr, zr),
+                           pr, ur, (u_star, p_star, t))
 
 
 def _two_shock_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, dl0, dr0):
@@ -95,42 +106,54 @@ def _two_shock_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, dl0, dr0):
     return _linear_balance(wl, pl, ul, wr, pr, ur)
 
 
-def _admissible(c, d, k):
-    """One-sided bound c >= k |d|: z d^2 >= k rho |d|^3 over rho d^2 (both hold at d = 0)."""
-    return c >= k * np.abs(d)
+def _admissible(c, d, k, t=None):
+    """One-sided bound c >= k |d|: z d^2 >= k rho |d|^3 over rho d^2 (both hold at d = 0);
+    ``t`` is a buffer for k |d|."""
+    return c >= np.multiply(k, np.abs(d, t), t)
 
 
-def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, dl0, dr0, zl, zr, out):
+def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, dl0, dr0, zl, zr, out,
+                      scratch=None):
     """The quadratic force balance for delta = u* - u_ac, with the admissibility
     test, written into ``out`` = (u_star, p_star_left_side, p_star_right_side,
     accepted) and returned. ``dl0``, ``dr0`` are the jumps at u_ac and ``zl``,
-    ``zr`` the impedances. The star state of a rejected node is left for the
-    caller to fill (it may be NaN).
+    ``zr`` the impedances; ``scratch`` holds seven buffers for the temporaries. The
+    star state of a rejected node is left for the caller to fill (it may be NaN).
     """
     k = 0.5 * (gamma + 1.0)
     u_star, ps_l, ps_r, accepted = out
-    krl, krr = k * rl, k * rr
-    kdl, kdr = krl * dl0, krr * dr0
-    # A delta^2 + 2 b delta - c = 0: B' = 2 b and C' = -c (with r0) of the module docstring
-    A, b = krl - krr, kdl + kdr - 0.5 * (zl + zr)
-    c = kdr * dr0 - kdl * dl0 + ((pr - zr * dr0) - (pl - zl * dl0))
+    s0, s1, s2, s3, s4, s5, s6 = scratch or _buffers(np.shape(rl), 7)
+    krl, krr = np.multiply(k, rl, s0), np.multiply(k, rr, s1)
+    kdl, kdr = np.multiply(krl, dl0, s2), np.multiply(krr, dr0, s3)
+    # A delta^2 + 2 b delta - c = 0: B' = 2 b and C' = -c (with r0) of the module docstring;
+    # b = kdl + kdr - 0.5 (zl + zr), c = kdr dr0 - kdl dl0 + ((pr - zr dr0) - (pl - zl dl0))
+    A = np.subtract(krl, krr, s4)
+    b = np.subtract(np.add(kdl, kdr, s6), np.multiply(0.5, np.add(zl, zr, s5), s5), s6)
+    c = np.subtract(np.multiply(kdr, dr0, s5), np.multiply(kdl, dl0, s2), s5)
+    c += np.subtract(np.subtract(pr, np.multiply(zr, dr0, s2), s2),
+                     np.subtract(pl, np.multiply(zl, dl0, s3), s3), s2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        disc = b * b + A * c   # D/4
+        disc = np.add(np.multiply(b, b, s2), np.multiply(A, c, s3), s2)   # D/4
         # a non-finite coefficient makes disc non-finite (so does an overflow)
-        if not _greatest(np.abs(disc)) < np.inf and not np.isfinite((A, b, c)).all():
+        if not _greatest(np.abs(disc, s3)) < np.inf and not np.isfinite((A, b, c)).all():
             raise FloatingPointError("non-finite nodal force-balance coefficients")
-        delta = c / (b + np.copysign(np.sqrt(disc), b))   # NaN where disc < 0
-        dl, dr = dl0 + delta, dr0 - delta
+        # c / (b + sign(b) sqrt(disc)), NaN where disc < 0
+        delta = np.divide(c, np.add(b, np.copysign(np.sqrt(disc, s3), b, s3), s3), s3)
+        dl, dr = np.add(dl0, delta, s4), np.subtract(dr0, delta, s5)
         # an admissible jump is finite, so this also rejects a NaN delta
-        np.logical_and(disc > 0.0, _admissible(cl, dl, k) & _admissible(cr, dr, k), out=accepted)
-        np.add(u_ac, delta, out=u_star)
-        np.add(pl - zl * dl, krl * dl * dl, out=ps_l)   # star_pressure, k rho formed once
-        np.add(pr - zr * dr, krr * dr * dr, out=ps_r)
+        np.greater(disc, 0.0, accepted)
+        accepted &= _admissible(cl, dl, k, s6)
+        accepted &= _admissible(cr, dr, k, s6)
+        np.add(u_ac, delta, u_star)
+        for ps, p, z, kr, d in ((ps_l, pl, zl, krl, dl), (ps_r, pr, zr, krr, dr)):
+            # star_pressure p - z d + k rho d^2, k rho formed once
+            np.subtract(p, np.multiply(z, d, s2), s2)
+            np.add(s2, np.multiply(np.multiply(kr, d, s3), d, s3), ps)
     return out
 
 
 def solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma: float, solver: str = "quadratic",
-                out=None):
+                out=None, scratch=None):
     """Cell-centered nodal solve between left and right cell arrays.
 
     Returns (u_star, p_star_left_side, p_star_right_side, order), order being
@@ -138,21 +161,23 @@ def solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma: float, solver: str = "qua
     solver gives the acoustic values, one pressure for both sides. The quadratic
     solver keeps an admissible quadratic root and gives the two-shock solve where
     it is rejected, with one star pressure on both sides and order ACOUSTIC.
+    ``scratch`` holds twelve float buffers shaped like ``rl`` for the temporaries.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown nodal solver {solver!r}; expected one of {SOLVERS}")
     u_star, ps_l, ps_r, order = out = out or (
-        *(np.empty(np.shape(rl)) for _ in range(3)), np.empty(np.shape(rl), np.int8))
+        *_buffers(np.shape(rl), 3), np.empty(np.shape(rl), np.int8))
+    zl, zr, u_ac, dl0, dr0, *kernel_scratch = scratch or _buffers(np.shape(rl), 12)
     if solver == "acoustic":
-        u_star[...], ps_l[...] = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur)
+        _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, (u_star, ps_l, u_ac, zl, zr))
         ps_r[...], order[...] = ps_l, ACOUSTIC
         return out
-    zl, zr = rl * cl, rr * cr
-    u_ac = _balance_velocity(zl, ul, zr, ur, pl - pr)  # the acoustic guess
-    dl0, dr0 = u_ac - ul, ur - u_ac
+    zl, zr = np.multiply(rl, cl, zl), np.multiply(rr, cr, zr)
+    _balance_velocity(zl, ul, zr, ur, np.subtract(pl, pr, dl0), u_ac, dr0)  # the acoustic guess
+    dl0, dr0 = np.subtract(u_ac, ul, dl0), np.subtract(ur, u_ac, dr0)
     accepted = order.view(np.bool_)   # QUADRATIC = 1, ACOUSTIC = 0
     _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, dl0, dr0, zl, zr,
-                      (u_star, ps_l, ps_r, accepted))
+                      (u_star, ps_l, ps_r, accepted), kernel_scratch)
     if not _least(accepted):
         j = (~accepted).nonzero()[0]
         u_star[j], p_2s = _two_shock_kernel(

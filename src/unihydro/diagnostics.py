@@ -134,20 +134,23 @@ def entropy_production_sgh(p, p_star, du):
     Exactly zero wherever the velocity divergence is nonnegative, because the
     star pressure equals the cell pressure there.
     """
-    return (np.asarray(p, float) - np.asarray(p_star, float)) * np.asarray(du, float)
+    production = np.subtract(p, p_star, dtype=float)
+    production *= du
+    return production
 
 
-def entropy_production_cch(p, d_left, d_right, p_star_right_side, p_star_left_side):
+def entropy_production_cch(p, d_left, d_right, p_star_right_side, p_star_left_side, t=None):
     """Per-cell dissipation rate from the two nodal star states and the jumps
     d_left = u - u* at the left node, d_right = u* - u at the right node.
 
     ``p_star_right_side[j]`` is the star pressure at node j as computed from
     the cell on its right; ``p_star_left_side[j]`` from the cell on its left,
     so each cell pairs with expressions in its own state, whose sign the
-    nodal admissibility test guarantees."""
-    p = np.asarray(p, float)
-    return ((p - p_star_right_side[:-1]) * d_left
-            + (p - p_star_left_side[1:]) * d_right)
+    nodal admissibility test guarantees. ``t`` is a buffer for the right term."""
+    production = np.subtract(p, p_star_right_side[:-1], dtype=float)
+    production *= d_left
+    production += np.multiply(np.subtract(p, p_star_left_side[1:], t), d_right, t)
+    return production
 
 
 class EntropyMonitor:
@@ -158,15 +161,16 @@ class EntropyMonitor:
         self.violations = 0
         self.expansion_abs_max = 0.0
 
-    def update(self, production: np.ndarray, scale: np.ndarray,
+    def update(self, production: np.ndarray, scale,
                expansion_mask: np.ndarray | None = None):
-        """Fold in one step's production against its nonnegative scale."""
+        """Fold in one step's production against its nonnegative scale: an array,
+        or a function that forms it, called only when some production is negative."""
         if expansion_mask is not None:
             self.expansion_abs_max = max(self.expansion_abs_max, float(
                 np.abs(production).max(where=expansion_mask, initial=0.0)))
         if _least(production) >= 0.0:  # no violation and no new worst; NaN falls through
             return
-        scale = np.asarray(scale, float)
+        scale = np.asarray(scale() if callable(scale) else scale, float)
         self.violations += int(np.count_nonzero(production < -ENTROPY_TOL * scale))
         negative = (production < 0.0) & (scale > 0.0)
         worst = float(np.min(production[negative] / scale[negative], initial=0.0))

@@ -10,7 +10,9 @@ __all__ = ["IdealGas"]
 
 
 def ideal_pressure(gamma: float, rho, eps):  # unchecked; IdealGas.pressure checks
-    return (gamma - 1.0) * rho * eps
+    p = np.multiply(gamma - 1.0, rho)   # (gamma - 1) rho eps, the product formed in place
+    p *= eps
+    return p
 
 
 def ideal_sound_speed(gamma: float, rho, p):  # unchecked; IdealGas.sound_speed checks

@@ -14,7 +14,7 @@ import numpy as np
 from .eos import IdealGas, ideal_pressure, ideal_sound_speed
 from .errors import MeshTangled, SolverFailure
 
-__all__ = ["Mesh1D", "SghState", "CchState", "cell_thermo", "update_geometry"]
+__all__ = ["Mesh1D", "SghState", "CchState", "Workspace", "cell_thermo", "update_geometry"]
 
 
 # The value of a per-step min/max test, found by argmin/argmax: about 1 us where
@@ -152,6 +152,17 @@ class CchState:
         return float((mesh.cell_mass * self.E).sum())
 
 
+class Workspace:
+    """The float buffers a run's steps reuse for every temporary: twelve ``faces``
+    of N - 1 (the interior nodes), four ``cells`` of N and one ``nodes`` of N + 1.
+    No array a caller can keep (state, mesh, report, nodal fields) lives here."""
+
+    def __init__(self, n_cells: int):
+        self.faces = [np.empty(n_cells - 1) for _ in range(12)]
+        self.cells = [np.empty(n_cells) for _ in range(4)]
+        self.nodes = np.empty(n_cells + 1)
+
+
 def cell_thermo(gas: IdealGas, rho, eps, floors=(0.0, 0.0)):
     """(p, c) of updated cells after one test of three extrema: eps and rho above
     their ``floors`` (eps, rho; below 0 acts as 0), p finite. With both minima
@@ -179,7 +190,8 @@ def update_geometry(mesh: Mesh1D, u_star: np.ndarray, dt: float) -> Mesh1D:
     """Move every node by its own star velocity; reject crossings."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    new_x = mesh.node_x + np.asarray(u_star, dtype=float) * dt
+    new_x = np.multiply(u_star, dt)
+    new_x += mesh.node_x
     volumes = new_x[1:] - new_x[:-1]
     if not _least(volumes) > 0.0 and np.any(volumes <= 0.0):  # NaN passes both tests
         raise MeshTangled("mesh tangling", cell=int(np.argmax(volumes <= 0.0)))

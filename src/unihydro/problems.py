@@ -417,8 +417,8 @@ def sample_reference(problem: ProblemSpec, x_points, t: float,
                      n_reference: int = 3200) -> dict[str, np.ndarray]:
     """Reference primitive profiles (rho, u, p, eps) at the given positions."""
     x = np.atleast_1d(np.asarray(x_points, dtype=float))
-    if t > problem.t_end * (1.0 + 1e-12):
-        raise ValueError(f"t={t} beyond problem t_end={problem.t_end}")
+    if not 0.0 <= t <= problem.t_end * (1.0 + 1e-12):
+        raise ValueError(f"t={t} outside [0, t_end={problem.t_end}]")
     gamma = problem.gamma
     if t <= 0.0:
         rho, u, p = problem.primitives_at(x)

@@ -33,9 +33,13 @@ class SghStepReport:
     p_star: np.ndarray              # per-cell star pressure the update used
     u_star: np.ndarray              # per-node time-centered velocity (last pass)
     entropy_production: np.ndarray  # (P - P*) du^n, or (P - P*) Delta u* if corrected
-    entropy_scale: np.ndarray       # P^n |du^n|
+    p_start: np.ndarray             # P^n, the cell pressures at t^n
     expansion: np.ndarray | None    # du >= 0 after the predictor, None after the corrector
     boundary: BoundaryFlux
+
+    @property
+    def entropy_scale(self) -> np.ndarray:   # P^n |du^n|, formed when read
+        return self.p_start * np.abs(self.du)
 
 
 def _ghost_pressure(bc: BoundaryCondition, p_star_edge: float) -> float:
@@ -75,40 +79,43 @@ def _side_flux(bc: BoundaryCondition, sign: float, dt: float, p_bnd: float,
 
 def step(state: SghState, mesh: Mesh1D, gas: IdealGas, dt: float,
          bc_left: BoundaryCondition, bc_right: BoundaryCondition,
-         mode: str = "predictor_only", floors=(0.0, 0.0)):
+         mode: str = "predictor_only", floors=(0.0, 0.0), workspace=None):
     """Advance one time step in the requested mode.
 
-    Each pass takes its star pressures from the state it works on (the state
-    at t^n, then the provisional one) and advances velocities, energy and
-    positions a full dt from t^n. The end state must pass ``mesh.cell_thermo``
-    with ``floors``, the provisional state of a corrected step without.
+    Each pass takes its star pressures from the state it works on (the state at t^n,
+    then the provisional one) and advances velocities, energy and positions a full dt
+    from t^n. The end state must pass ``mesh.cell_thermo`` with ``floors``, the provisional
+    state of a corrected step without. Temporaries go into ``workspace``, a ``mesh.Workspace``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    t0, t1, p_mean = (workspace or mesh_mod.Workspace(len(state.rho))).cells[:3]
     u_n, m_node, m_cell = state.node_u, mesh.node_mass, mesh.cell_mass
     work, p_pred = state, None
     for pass_floors in (floors,) if mode == "predictor_only" else ((0.0, 0.0), floors):
         du = work.node_u[1:] - work.node_u[:-1]
-        p_star = closure.sgh_star_pressure(work.rho, work.c, work.p, du, gas.gamma)
+        p_star = closure.sgh_star_pressure(work.rho, work.c, work.p, du, gas.gamma, (t0, t1))
         if p_pred is None:
             du_pred, p_pred, p_cell = du, p_star, state.p
         else:   # the corrector: the two passes' average pressure acts in every update
-            p_star, p_cell = 0.5 * (p_star + p_pred), 0.5 * (work.p + state.p)
+            p_star = np.multiply(0.5, np.add(p_star, p_pred, p_star), p_star)
+            p_cell = np.multiply(0.5, np.add(work.p, state.p, p_mean), p_mean)
         p_bnd_l = _ghost_pressure(bc_left, p_star[0])
         p_bnd_r = _ghost_pressure(bc_right, p_star[-1])
-        force = np.empty(len(u_n))   # on each dual cell; the ends see the ghost pressures
-        force[0], force[-1] = p_bnd_l - p_star[0], p_star[-1] - p_bnd_r
-        np.subtract(p_star[:-1], p_star[1:], out=force[1:-1])
-
-        u_star = u_n + 0.5 * dt * (force / m_node)
-        u_new = 2.0 * u_star - u_n
+        u_star = np.empty(len(u_n))   # first the force on each dual cell; the ends see the ghosts
+        u_star[0], u_star[-1] = p_bnd_l - p_star[0], p_star[-1] - p_bnd_r
+        np.subtract(p_star[:-1], p_star[1:], out=u_star[1:-1])
+        np.add(u_n, np.multiply(0.5 * dt, np.divide(u_star, m_node, u_star), u_star), u_star)
+        u_new = np.multiply(2.0, u_star)   # u* = u^n + 0.5 dt (force / m), u_new = 2 u* - u^n
+        u_new -= u_n
         if bc_left.velocity is not None:
             u_star[0] = u_new[0] = bc_left.velocity
         if bc_right.velocity is not None:
             u_star[-1] = u_new[-1] = bc_right.velocity
 
-        du_star = u_star[1:] - u_star[:-1]
-        eps_new = state.eps - (dt / m_cell) * p_star * du_star
+        du_star = np.subtract(u_star[1:], u_star[:-1], t0)
+        de = np.multiply(np.multiply(np.divide(dt, m_cell, t1), p_star, t1), du_star, t1)
+        eps_new = state.eps - de   # eps^n - (dt/m) P* Delta u*
         new_mesh = mesh_mod.update_geometry(mesh, u_star, dt)
         rho_new = m_cell / new_mesh.cell_volumes
         p_new, c_new = mesh_mod.cell_thermo(gas, rho_new, eps_new, pass_floors)
@@ -122,5 +129,5 @@ def step(state: SghState, mesh: Mesh1D, gas: IdealGas, dt: float,
     du_audit = du_pred if mode == "predictor_only" else du_star
     report = SghStepReport(du_pred, p_star, u_star,
                            entropy_production_sgh(p_cell, p_star, du_audit),
-                           state.p * np.abs(du_pred), expansion, BoundaryFlux(il, ir, wl, wr))
+                           state.p, expansion, BoundaryFlux(il, ir, wl, wr))
     return new_mesh, work, report

@@ -364,11 +364,17 @@ class TestCommandLine:
         ("reference", "--t", "5", "--t"),
         ("reference", "--t", "nan", "--t"),
         ("reference", "--out", "{tmp}/missing/ref.csv", "--out"),
+        ("run", "--out", "{tmp}/a_file", "--out"),
+        ("converge", "--out", "{tmp}/a_file", "--out"),
+        ("converge", "--out", "{tmp}/a_file/sub", "--out"),
     ])
     def test_bad_option_is_config_error(self, tmp_path, capsys, command, flag, value, named):
-        # the options ``reference`` requires; the flag under test repeats and wins
-        required = (["--t", "0.1", "--points", "5", "--out", str(tmp_path / "ref.csv")]
-                    if command == "reference" else [])
+        # the options ``reference`` and ``converge`` require; the flag under test
+        # repeats and wins
+        required = {"reference": ["--t", "0.1", "--points", "5", "--out",
+                                  str(tmp_path / "ref.csv")],
+                    "converge": ["--cells", "10"]}.get(command, [])
+        (tmp_path / "a_file").write_text("", encoding="utf-8")   # an --out that is no directory
         argv = [command, "--problem", "sod", *required, flag, value.format(tmp=tmp_path)]
         assert cli.main(argv) == 3
         assert named in capsys.readouterr().err
@@ -426,6 +432,25 @@ class TestCommandLine:
         with pytest.raises(uh.SolverFailure, match="the 0 steps left") as failed:
             uh.run(uh.RunConfig(problem="sod", n_cells=100))
         assert failed.value.step == 501
+
+    @pytest.mark.parametrize("option", [{"dt_max": 1e-300},
+                                        {"dt_init": 1e-300, "dt_growth": 1.0}],
+                             ids=["dt_max", "dt_init_without_growth"])
+    def test_step_budget_projects_the_dt_rule(self, monkeypatch, option):
+        """The budget projects the step the dt rule can take: the CFL step
+        clamped by dt_max and by dt grown on each step left."""
+        monkeypatch.setattr(cli, "_MAX_STEPS", 4096)
+        with pytest.raises(uh.SolverFailure, match="the 4096 steps left") as failed:
+            uh.run(uh.RunConfig(problem="sod", n_cells=20, **option))
+        assert failed.value.step == 1
+
+    def test_step_budget_lets_a_slow_ramp_finish(self, monkeypatch):
+        """dt may grow on every step left, not only over the next 1,024: this
+        ramp reaches t_end in about 3,050 of the 4,096 steps, though 4,096 steps
+        of dt_init * 1.001^1024 would not."""
+        monkeypatch.setattr(cli, "_MAX_STEPS", 4096)
+        result = uh.run(uh.RunConfig(problem="sod", n_cells=20, dt_init=1e-5, dt_growth=1.001))
+        assert 3000 < result.steps < 4096
 
     def test_reference_command(self, tmp_path):
         out = tmp_path / "ref.csv"

@@ -214,8 +214,9 @@ class TestSampleReference:
         assert a["rho"][0] == pytest.approx(b["rho"][0], rel=1e-12)
 
     def test_rejects_late_time(self):
-        with pytest.raises(ValueError):
-            sample_reference(uh.sod(), [0.5], 0.3)
+        for t in (0.3, float("nan"), -1.0):   # and a time that means nothing, or is before 0
+            with pytest.raises(ValueError, match="t_end"):
+                sample_reference(uh.sod(), [0.5], t)
 
     def test_self_converged_reference(self):
         # small reference run; pre-shock sine must be reproduced
