@@ -54,7 +54,6 @@ class CchStepReport:
     entropy_production: np.ndarray
     start: CchState                 # the state at t^n
     boundary: BoundaryFlux
-    expansion: np.ndarray | None = None  # None: expanding cells produce entropy too
 
     @property
     def entropy_scale(self) -> np.ndarray:   # P^n (|u - u*_L| + |u*_R - u|), formed when read
@@ -87,7 +86,7 @@ def _boundary_node(bc: BoundaryCondition, rho, c, p, u, gamma: float,
     quadratic = solver != "acoustic"
     accepted = quadratic and closure._admissible(c, d, k)
     if accepted or (quadratic and d < 0.0):
-        ps = closure.star_pressure(p, z, rho, d, k)
+        ps = closure.star_pressure(p, z, k * rho, d)
     else:
         ps = p - z * d
     return bc.velocity, ps, ps, QUADRATIC if accepted else ACOUSTIC

@@ -122,9 +122,13 @@ def run(config: RunConfig) -> RunResult:
     """
     problem = resolve_problem(config.problem)
     t_end = problem.t_end if config.t_end is None else float(config.t_end)
-    if not all(0.0 < t <= t_end for t in config.snapshot_times):
-        raise ConfigError(f"snapshot_times must be in (0, t_end = {t_end}], "
-                          f"got {config.snapshot_times}")
+    # a time equal to t_end is the final profile; a repeated time is one snapshot,
+    # and each other one needs its own file tag
+    snapshots = sorted({t for t in config.snapshot_times if t < t_end})
+    if (not all(0.0 < t <= t_end for t in config.snapshot_times)
+            or len({f"{t:.9g}" for t in snapshots}) < len(snapshots)):
+        raise ConfigError(f"snapshot_times must be in (0, t_end = {t_end}] with distinct "
+                          f"tags at 9 digits, got {config.snapshot_times}")
     gas = IdealGas(problem.gamma)
     try:
         mesh, state = problems_mod.build_initial(problem, config.n_cells, config.method)
@@ -137,8 +141,6 @@ def run(config: RunConfig) -> RunResult:
 
     ledger = diag.ConservationLedger.open(mesh, state)
     monitor = diag.EntropyMonitor()
-    # a time equal to t_end is the final profile; a repeated time is one snapshot
-    snapshots = sorted({t for t in config.snapshot_times if t < t_end})
 
     t = 0.0
     steps = budget_check = 0
@@ -169,12 +171,11 @@ def run(config: RunConfig) -> RunResult:
             t += dt
             steps += 1
             diag.audit_step(ledger, mesh, state, report.boundary)
-            monitor.update(report.entropy_production, lambda: report.entropy_scale,
-                           report.expansion)
+            monitor.update(report.entropy_production, lambda: report.entropy_scale)
             if snapshots and t >= snapshots[0] * (1.0 - 1e-14):
-                snapshots.pop(0)
+                t_snap = snapshots.pop(0)   # the tag is the requested time
                 if config.out:
-                    _write_outputs(config, problem, mesh, state, tag=f"_t{t:.9g}")
+                    _write_outputs(config, problem, mesh, state, tag=f"_t{t_snap:.9g}")
     except SolverFailure as failure:
         raise failure.with_context(step=steps + 1, time=t) from None
 
@@ -202,7 +203,6 @@ def _run_stem(config: RunConfig, problem: ProblemSpec) -> str:
 
 
 def _write_outputs(config: RunConfig, problem: ProblemSpec, mesh, state, tag=""):
-    os.makedirs(config.out, exist_ok=True)
     stem = os.path.join(config.out, _run_stem(config, problem) + tag)
     u_cell = state.cell_u
     e_total = state.E if isinstance(state, CchState) else state.eps + 0.5 * u_cell ** 2

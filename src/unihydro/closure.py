@@ -1,13 +1,13 @@
 """Pressure-velocity closure shared by the staggered and cell-centered methods.
 
-A quadratic Taylor expansion of the pressure in the specific-volume change
+A second-order Taylor series of the pressure in the specific-volume change
 (the shock adiabat and the isentrope of an ideal gas share its first and second
 derivatives) is turned into a pressure-velocity relation through the
 sound-crossing time of a cell.
 For the staggered method this yields a per-cell star pressure with a
 linear-plus-quadratic compression term; for the cell-centered method a nodal
 force balance gives either a linear (acoustic) solve or a quadratic solve with
-an admissibility test. Every one-sided star pressure is ``star_pressure``.
+an admissibility test. ``star_pressure`` evaluates every quadratic one-sided relation.
 
 ``solve_nodes`` is the cell-centered nodal solve. Its quadratic solve finds the
 correction delta = u* - u_ac to the acoustic guess u_ac from A delta^2 + B' delta + C' = 0:
@@ -40,10 +40,11 @@ QUADRATIC = 1
 SOLVERS = ("acoustic", "quadratic")
 
 
-def star_pressure(p, z, rho, d, k):
-    """One-sided pressure-velocity relation p - z d + k rho d^2, where d < 0
-    compresses the cell: d = u* - u left of the node, u - u* right of it."""
-    return p - z * d + k * rho * d * d
+def star_pressure(p, z, krho, d, out=None, t=None):
+    """One-sided relation (p - z d) + ((k rho) d) d, d < 0 compressing the cell (u* - u left of
+    the node, u - u* right of it); ``out`` may be ``z`` and the buffer ``t`` may be ``krho``."""
+    ps = np.subtract(p, np.multiply(z, d, out), out)
+    return np.add(ps, np.multiply(np.multiply(krho, d, t), d, t), out)
 
 
 def _buffers(shape, count: int) -> list:   # the scratch of a call given none
@@ -53,16 +54,15 @@ def _buffers(shape, count: int) -> list:   # the scratch of a call given none
 def sgh_star_pressure(rho, c, p, du, gamma: float, scratch=None):
     """Star pressure of a cell with velocity jump du across it.
 
-    Compression (du < 0) follows the quadratic expansion expressed through
-    du = rho c dtau; expansion and uniform flow keep the cell pressure, which
+    Compression (du < 0) follows the quadratic Taylor series expressed through
+    du = rho c dtau; expanding and uniform flow keep the cell pressure, which
     makes smooth-flow entropy production exactly zero. ``scratch``: two buffers
     of the broadcast shape for the temporaries.
     """
     z, t = scratch or _buffers(np.broadcast(rho, c, p, du).shape, 2)
-    # star_pressure(p, rho c, rho, du, k) = (p - (rho c) du) + ((k rho) du) du
-    np.multiply(np.multiply(np.multiply(0.5 * (gamma + 1.0), rho, t), du, t), du, t)
-    z = np.add(np.subtract(p, np.multiply(np.multiply(rho, c, z), du, z), z), t, z)
-    return np.where(np.less(du, 0.0), z, p)
+    ps = star_pressure(p, np.multiply(rho, c, z), np.multiply(0.5 * (gamma + 1.0), rho, t),
+                       du, z, t)
+    return np.where(np.less(du, 0.0), ps, p)
 
 
 def _balance_velocity(zl, ul, zr, ur, dp, out, t):
@@ -145,10 +145,8 @@ def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, dl0, dr0, zl,
         accepted &= _admissible(cl, dl, k, s6)
         accepted &= _admissible(cr, dr, k, s6)
         np.add(u_ac, delta, u_star)
-        for ps, p, z, kr, d in ((ps_l, pl, zl, krl, dl), (ps_r, pr, zr, krr, dr)):
-            # star_pressure p - z d + k rho d^2, k rho formed once
-            np.subtract(p, np.multiply(z, d, s2), s2)
-            np.add(s2, np.multiply(np.multiply(kr, d, s3), d, s3), ps)
+        star_pressure(pl, zl, krl, dl, ps_l, s3)
+        star_pressure(pr, zr, krr, dr, ps_r, s3)
     return out
 
 

@@ -159,15 +159,10 @@ class EntropyMonitor:
     def __init__(self):
         self.worst_normalized = 0.0
         self.violations = 0
-        self.expansion_abs_max = 0.0
 
-    def update(self, production: np.ndarray, scale,
-               expansion_mask: np.ndarray | None = None):
+    def update(self, production: np.ndarray, scale):
         """Fold in one step's production against its nonnegative scale: an array,
         or a function that forms it, called only when some production is negative."""
-        if expansion_mask is not None:
-            self.expansion_abs_max = max(self.expansion_abs_max, float(
-                np.abs(production).max(where=expansion_mask, initial=0.0)))
         if _least(production) >= 0.0:  # no violation and no new worst; NaN falls through
             return
         scale = np.asarray(scale() if callable(scale) else scale, float)

@@ -34,7 +34,6 @@ class SghStepReport:
     u_star: np.ndarray              # per-node time-centered velocity (last pass)
     entropy_production: np.ndarray  # (P - P*) du^n, or (P - P*) Delta u* if corrected
     p_start: np.ndarray             # P^n, the cell pressures at t^n
-    expansion: np.ndarray | None    # du >= 0 after the predictor, None after the corrector
     boundary: BoundaryFlux
 
     @property
@@ -49,31 +48,28 @@ def _ghost_pressure(bc: BoundaryCondition, p_star_edge: float) -> float:
     same state of compression), so the boundary node feels no net force and
     coasts; copying the raw cell pressure instead would let compressive
     transients decelerate the node without any way to push it back, slowly
-    bleeding momentum out of inflow regions. Velocity boundaries get a
-    placeholder that the prescription overrides.
+    bleeding momentum out of inflow regions. Velocity boundaries get the
+    adjacent star pressure too: the prescription sets the node's velocity.
     """
     if bc.kind == "prescribed_pressure":
         return float(bc.value)
     return float(p_star_edge)
 
 
-def _side_flux(bc: BoundaryCondition, sign: float, dt: float, p_bnd: float,
-               p_star_edge: float, u_star_edge: float, m_edge: float,
-               u_old_edge: float, u_new_edge: float) -> tuple[float, float]:
+def _side_flux(bc: BoundaryCondition, sign: float, dt: float, p_bnd: float, u_star_edge: float,
+               m_edge: float, u_old_edge: float, u_new_edge: float) -> tuple[float, float]:
     """Momentum and energy entering the system through one boundary; ``sign``
     is +1 on the left and -1 on the right, so one rule serves both sides.
 
-    Pressure boundaries push with the ghost pressure. A velocity prescription
-    acts as a constraint: it absorbs the adjacent star pressure and whatever
-    momentum/energy the prescribed motion itself carries.
+    Every boundary pushes with its ghost pressure. A velocity prescription acts
+    as a constraint: it also supplies whatever momentum/energy the prescribed
+    motion of the boundary node itself carries.
     """
+    impulse = sign * dt * p_bnd
+    work = impulse * u_star_edge
     if bc.velocity is not None:
-        impulse = sign * dt * p_star_edge + m_edge * (u_new_edge - u_old_edge)
-        work = (sign * dt * p_star_edge * u_star_edge
-                + 0.5 * m_edge * (u_new_edge ** 2 - u_old_edge ** 2))
-    else:
-        impulse = sign * dt * p_bnd
-        work = sign * dt * p_bnd * u_star_edge
+        impulse += m_edge * (u_new_edge - u_old_edge)
+        work += 0.5 * m_edge * (u_new_edge ** 2 - u_old_edge ** 2)
     return float(impulse), float(work)
 
 
@@ -121,13 +117,11 @@ def step(state: SghState, mesh: Mesh1D, gas: IdealGas, dt: float,
         p_new, c_new = mesh_mod.cell_thermo(gas, rho_new, eps_new, pass_floors)
         work = SghState(u_new, rho_new, eps_new, p_new, c_new)
 
-    il, wl = _side_flux(bc_left, +1.0, dt, p_bnd_l, p_star[0], u_star[0],
-                        m_node[0], u_n[0], u_new[0])
-    ir, wr = _side_flux(bc_right, -1.0, dt, p_bnd_r, p_star[-1], u_star[-1],
-                        m_node[-1], u_n[-1], u_new[-1])
-    expansion = du_pred >= 0.0 if mode == "predictor_only" else None
+    il, wl = _side_flux(bc_left, +1.0, dt, p_bnd_l, u_star[0], m_node[0], u_n[0], u_new[0])
+    ir, wr = _side_flux(bc_right, -1.0, dt, p_bnd_r, u_star[-1], m_node[-1], u_n[-1],
+                        u_new[-1])
     du_audit = du_pred if mode == "predictor_only" else du_star
     report = SghStepReport(du_pred, p_star, u_star,
                            entropy_production_sgh(p_cell, p_star, du_audit),
-                           state.p, expansion, BoundaryFlux(il, ir, wl, wr))
+                           state.p, BoundaryFlux(il, ir, wl, wr))
     return new_mesh, work, report

@@ -60,3 +60,42 @@ def test_quadratic_kernel_counter_contract(monkeypatch):
     mask = result[3]
     assert mask.dtype == np.bool_
     assert mask.shape == np.shape(args[0]) == (9,)
+
+
+def test_convergence_runs_go_through_cli_run(monkeypatch):
+    """The ``converge`` workload counts every run of ``run_convergence``, the
+    hidden reference run included, through a pass-through it sets on ``cli.run``."""
+    from unihydro import cli
+
+    inner, calls = cli.run, []
+
+    def recording(config):
+        calls.append((config.method, config.n_cells))
+        return inner(config)
+
+    monkeypatch.setattr(cli, "run", recording)
+    cli.run_convergence(cli.RunConfig(problem="sedov", method="sgh"), [20, 40], n_reference=40)
+    assert calls == [("cch", 40), ("sgh", 20), ("sgh", 40)]
+
+
+def test_snapshot_write_arguments(monkeypatch, tmp_path):
+    """The tracer's byte counter takes the config and the problem from ``args[0]``
+    and ``args[1]`` of ``cli._write_outputs`` and a snapshot's tag from the
+    keyword ``tag``, and counts the files at the stem they give."""
+    from unihydro import cli
+    from unihydro.problems import ProblemSpec
+
+    inner, calls = cli._write_outputs, []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_write_outputs", recording)
+    config = cli.RunConfig(problem="sod", n_cells=10, out=str(tmp_path), snapshot_times=(0.1,))
+    cli.run(config)
+    (args, kwargs), _ = calls   # the snapshot, then the final profile
+    assert args[0] is config and isinstance(args[1], ProblemSpec)
+    assert len(args) == 4 and kwargs == {"tag": "_t0.1"}
+    stem = os.path.join(config.out, cli._run_stem(config, args[1]) + kwargs["tag"])
+    assert os.path.getsize(stem + ".csv") > 0 and os.path.getsize(stem + ".nodes") > 0

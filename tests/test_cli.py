@@ -79,8 +79,8 @@ class TestRunConfig:
 
 
 class TestStepContract:
-    """Both steppers report the entropy scale and the expansion mask that the
-    run loop hands to the entropy monitor."""
+    """Both steppers report the entropy production and scale that the run loop
+    hands to the entropy monitor, and the boundary flux."""
 
     @pytest.mark.parametrize("step, option", [
         (sgh.step, {"mode": "predictor_only"}),
@@ -99,19 +99,12 @@ class TestStepContract:
         if step is sgh.step:
             du = before.node_u[1:] - before.node_u[:-1]
             scale = before.p * np.abs(du)
-            expansion = du >= 0.0 if option["mode"] == "predictor_only" else None
         else:
             us = report.nodal.u_star
             scale = before.p * (np.abs(before.u - us[:-1]) + np.abs(us[1:] - before.u))
-            expansion = None
         assert report.entropy_scale.tobytes() == scale.tobytes()
         assert report.entropy_production.shape == scale.shape
         assert isinstance(report.boundary, BoundaryFlux)
-        if expansion is None:
-            assert report.expansion is None
-        else:
-            assert 0 < np.count_nonzero(expansion) < len(expansion)
-            np.testing.assert_array_equal(report.expansion, expansion)
 
 
 class TestRun:
@@ -353,6 +346,7 @@ class TestCommandLine:
         ("converge", "--cells", ",", "--cells"),
         ("run", "--snapshots", "0.1,nan", "snapshot_times"),
         ("run", "--snapshots", "5,-1", "snapshot_times"),
+        ("run", "--snapshots", "0.1,0.1000000001", "snapshot_times"),
         ("run", "--cfl", "abc", "--cfl"),
         ("run", "--cells", "2.5", "--cells"),
         ("run", "--method", "xyz", "--method"),
@@ -387,8 +381,13 @@ class TestCommandLine:
         (lambda spec: spec["regions"][0].update(u=1e200), "region u"),
         (lambda spec: spec.update(center_energy=-5.0), "center_energy"),
         (lambda spec: spec.update(center_energy=float("nan")), "center_energy"),
+        (lambda spec: spec.update(name="a/b"), "name"),
+        (lambda spec: spec.update(name="../escaped"), "name"),
+        (lambda spec: spec.update(name=""), "name"),
+        (lambda spec: spec.update(name=5), "name"),
     ], ids=["unknown_region_key", "gamma_one", "negative_density", "negative_density_expr",
-            "kinetic_energy_overflow", "negative_center_energy", "nan_center_energy"])
+            "kinetic_energy_overflow", "negative_center_energy", "nan_center_energy",
+            "name_with_slash", "name_escaping_out", "empty_name", "name_not_a_string"])
     def test_bad_spec_file_is_config_error(self, tmp_path, capsys, edit, named):
         spec = uh.sod().to_dict()
         edit(spec)

@@ -185,19 +185,16 @@ class TestEntropyMonitor:
         assert mon.worst_normalized == -0.5
         mon.update(np.array([1.0, -0.0]), np.array([0.0, 2.0]))
         assert mon.worst_normalized == -0.5
-        # all production nonnegative, with an expansion mask: no violation, the
-        # worst stays, and the expansion maximum is that of the masked cells
-        mon.update(np.array([3.0, 0.0, 0.25, -0.0, 7.0]), np.array([1.0, 0.0, 1.0, 2.0, 0.0]),
-                   np.array([False, True, True, True, False]))
-        assert (mon.violations, mon.worst_normalized, mon.expansion_abs_max) == (3, -0.5, 0.25)
-        mon.update(np.array([0.5, 0.0]), np.array([1.0, 1.0]), np.array([False, False]))
-        mon.update(np.array([-2.0, 0.125]), np.array([0.0, 1.0]), np.array([True, True]))
-        assert (mon.violations, mon.worst_normalized, mon.expansion_abs_max) == (4, -0.5, 2.0)
+        # all production nonnegative: no violation, and the worst stays
+        mon.update(np.array([3.0, 0.0, 0.25, -0.0, 7.0]), np.array([1.0, 0.0, 1.0, 2.0, 0.0]))
+        assert (mon.violations, mon.worst_normalized) == (3, -0.5)
+        mon.update(np.array([0.5, 0.0]), np.array([1.0, 1.0]))
+        mon.update(np.array([-2.0, 0.125]), np.array([0.0, 1.0]))
+        assert (mon.violations, mon.worst_normalized) == (4, -0.5)
 
     def test_nan_production_takes_the_full_path(self):
         """A NaN anywhere fails the nonnegative fast test, so the negative cell
         after it is still counted and normalized."""
         mon = diag.EntropyMonitor()
-        mon.update(np.array([1.0, np.nan, -2.0]), np.array([1.0, 1.0, 4.0]),
-                   np.array([True, False, False]))
-        assert (mon.violations, mon.worst_normalized, mon.expansion_abs_max) == (1, -0.5, 1.0)
+        mon.update(np.array([1.0, np.nan, -2.0]), np.array([1.0, 1.0, 4.0]))
+        assert (mon.violations, mon.worst_normalized) == (1, -0.5)

@@ -77,8 +77,8 @@ def reference_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac):
                 & _reference_admissible(zr, rr, u_try - ur, k))
 
     u_star = np.where(accepted, u_try, u_ac)
-    ps_left = star_pressure(pl, zl, rl, u_star - ul, k)
-    ps_right = star_pressure(pr, zr, rr, ur - u_star, k)
+    ps_left = star_pressure(pl, zl, k * rl, u_star - ul)
+    ps_right = star_pressure(pr, zr, k * rr, ur - u_star)
     return u_star, ps_left, ps_right, accepted, u_try
 
 

@@ -36,8 +36,8 @@ def _reduce_calls(config):
 
 
 @pytest.mark.parametrize("method, option, budget", [
-    ("sgh", {"sgh_mode": "predictor_only"}, 5),
-    ("sgh", {"sgh_mode": "predictor_corrector"}, 5),
+    ("sgh", {"sgh_mode": "predictor_only"}, 4),
+    ("sgh", {"sgh_mode": "predictor_corrector"}, 4),
     ("cch", {"cch_solver": "quadratic"}, 4),
     ("cch", {"cch_solver": "acoustic"}, 4),
 ], ids=["sgh-predictor", "sgh-predictor-corrector", "cch-quadratic", "cch-acoustic"])

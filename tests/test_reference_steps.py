@@ -114,7 +114,7 @@ def ref_cch_step(state, mesh, gas, dt, bc_left, bc_right, solver):
     flux = diag.BoundaryFlux(dt * ps[0], -dt * ps[-1], dt * ps[0] * us[0],
                              -dt * ps[-1] * us[-1])
     scale = state.p * (np.abs(state.u - us[:-1]) + np.abs(us[1:] - state.u))
-    return new_mesh, new_state, (production, scale, flux, None, us, psl, psr, order)
+    return new_mesh, new_state, (production, scale, flux, us, psl, psr, order)
 
 
 def ref_sgh_advance(base_state, base_mesh, work_state, gas, dt, bc_left, bc_right,
@@ -143,9 +143,9 @@ def ref_sgh_advance(base_state, base_mesh, work_state, gas, dt, bc_left, bc_righ
     new_mesh = ref_update_geometry(base_mesh, u_star, dt)
     rho_new = base_mesh.cell_mass / ref_volumes(new_mesh)
     new_state = SghState(u_new, rho_new, eps_new, *ref_cell_thermo(gas, rho_new, eps_new))
-    il, wl = sgh._side_flux(bc_left, +1.0, dt, p_bnd_l, p_star[0], u_star[0],
+    il, wl = sgh._side_flux(bc_left, +1.0, dt, p_bnd_l, u_star[0],
                             base_mesh.node_mass[0], u_n[0], u_new[0])
-    ir, wr = sgh._side_flux(bc_right, -1.0, dt, p_bnd_r, p_star[-1], u_star[-1],
+    ir, wr = sgh._side_flux(bc_right, -1.0, dt, p_bnd_r, u_star[-1],
                             base_mesh.node_mass[-1], u_n[-1], u_new[-1])
     # audited with the jump the star pressure saw, or the corrector's Delta u*
     du_audit = du if p_pred is None else du_star
@@ -158,10 +158,10 @@ def ref_sgh_step(state, mesh, gas, dt, bc_left, bc_right, mode):
         state, mesh, state, gas, dt, bc_left, bc_right)
     scale = state.p * np.abs(du)
     if mode == "predictor_only":
-        return mesh1, prov, (production, scale, flux, du >= 0.0, du, p_star, u_star)
+        return mesh1, prov, (production, scale, flux, du, p_star, u_star)
     mesh2, new_state, p_star2, u_star2, _, production2, flux = ref_sgh_advance(
         state, mesh, prov, gas, dt, bc_left, bc_right, p_pred=p_star)
-    return mesh2, new_state, (production2, scale, flux, None, du, p_star2, u_star2)
+    return mesh2, new_state, (production2, scale, flux, du, p_star2, u_star2)
 
 
 def ref_velocity_jumps(state):
@@ -182,19 +182,14 @@ class RefMonitor:
     def __init__(self):
         self.worst_normalized = 0.0
         self.violations = 0
-        self.expansion_abs_max = 0.0
 
-    def update(self, production, scale, expansion_mask=None):
+    def update(self, production, scale):
         scale = np.asarray(scale, float)
         bad = production < -diag.ENTROPY_TOL * scale
         self.violations += int(np.count_nonzero(bad))
         negative = (production < 0.0) & (scale > 0.0)
         worst = float(np.min(production[negative] / scale[negative], initial=0.0))
         self.worst_normalized = min(self.worst_normalized, worst)
-        if expansion_mask is not None and np.any(expansion_mask):
-            self.expansion_abs_max = max(
-                self.expansion_abs_max,
-                float(np.max(np.abs(production[expansion_mask]))))
 
 
 # -- the comparison ------------------------------------------------------------------
@@ -214,9 +209,9 @@ def _report_arrays(report):
     if isinstance(report, cch.CchStepReport):
         n = report.nodal
         return (report.entropy_production, report.entropy_scale, report.boundary,
-                report.expansion, n.u_star, n.p_star_left, n.p_star_right, n.order)
+                n.u_star, n.p_star_left, n.p_star_right, n.order)
     return (report.entropy_production, report.entropy_scale, report.boundary,
-            report.expansion, report.du, report.p_star, report.u_star)
+            report.du, report.p_star, report.u_star)
 
 
 def march_both(problem, mesh, state, method, option, dt_of):
@@ -247,13 +242,11 @@ def march_both(problem, mesh, state, method, option, dt_of):
             if isinstance(ref_value, diag.BoundaryFlux):
                 assert all(np.float64(v).tobytes() == np.float64(vars(ref_value)[f]).tobytes()
                            for f, v in vars(value).items())
-            elif ref_value is None:
-                assert value is None
             else:
                 assert value.dtype == ref_value.dtype
                 assert value.tobytes() == ref_value.tobytes()
-        monitor.update(report.entropy_production, report.entropy_scale, report.expansion)
-        ref_monitor.update(*ref_values[:2], ref_values[3])
+        monitor.update(report.entropy_production, report.entropy_scale)
+        ref_monitor.update(*ref_values[:2])
         assert vars(monitor) == vars(ref_monitor)
     return state
 
