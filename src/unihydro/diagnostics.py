@@ -34,9 +34,11 @@ class BoundaryFlux:
     work_right: float = 0.0
 
 
-def totals(mesh: Mesh1D, state) -> tuple[float, float, float]:
-    """(mass, momentum, total energy) of a state on its mesh."""
-    return float(mesh.cell_mass.sum()), state.total_momentum(mesh), state.total_energy(mesh)
+def totals(mesh: Mesh1D, state, work=(None, None)) -> tuple[float, float, float]:
+    """(mass, momentum, total energy) of a state on its mesh; the products go
+    into ``work``, a (cells, nodes) pair of buffers of N and N + 1 floats."""
+    return (float(mesh.cell_mass.sum()), state.total_momentum(mesh, work),
+            state.total_energy(mesh, work))
 
 
 @dataclass
@@ -55,11 +57,13 @@ class ConservationLedger:
     energy_scale: float = 0.0
     steps: int = 0
     violations: list = field(default_factory=list)
+    work: tuple = field(default=(None, None), repr=False, compare=False)   # totals' products
 
     @classmethod
     def open(cls, mesh: Mesh1D, state) -> "ConservationLedger":
-        m, p, e = totals(mesh, state)
-        ledger = cls(mass0=m, momentum0=p, energy0=e, mass=m, momentum=p, energy=e)
+        work = (np.empty(mesh.n_cells), np.empty(mesh.n_cells + 1))
+        m, p, e = totals(mesh, state, work)
+        ledger = cls(mass0=m, momentum0=p, energy0=e, mass=m, momentum=p, energy=e, work=work)
         ledger._update_scales(state)
         return ledger
 
@@ -111,7 +115,7 @@ def audit_step(ledger: ConservationLedger, mesh: Mesh1D, state,
     ledger.impulse_right += boundary.impulse_right
     ledger.work_left += boundary.work_left
     ledger.work_right += boundary.work_right
-    ledger.mass, ledger.momentum, ledger.energy = totals(mesh, state)
+    ledger.mass, ledger.momentum, ledger.energy = totals(mesh, state, ledger.work)
     ledger.steps += 1
     ledger._update_scales(state)
     if (ledger.mass_drift != 0.0

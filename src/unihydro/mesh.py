@@ -30,6 +30,11 @@ def _greatest(a: np.ndarray):
     return a[a.argmax()]
 
 
+def _largest_magnitude(a: np.ndarray) -> float:
+    """max |a| without forming |a|: the abs makes -0.0 and -NaN positive."""
+    return abs(float(max(-_least(a), _greatest(a))))
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -103,19 +108,25 @@ class SghState:
 
     @property
     def max_speed(self) -> float:
-        return float(_greatest(np.abs(self.node_u)))
+        return _largest_magnitude(self.node_u)
 
-    def velocity_jumps(self) -> np.ndarray:
-        """Per-cell velocity variation used to harden the CFL bound."""
-        return np.abs(self.node_u[1:] - self.node_u[:-1])
+    def velocity_jumps(self, workspace=None) -> np.ndarray:
+        """Per-cell velocity variation used to harden the CFL bound; written
+        into the first ``cells`` buffer of ``workspace`` when one is given."""
+        jumps = np.subtract(self.node_u[1:], self.node_u[:-1],
+                            None if workspace is None else workspace.cells[0])
+        return np.abs(jumps, jumps)
 
-    def total_momentum(self, mesh: Mesh1D) -> float:
-        return float((mesh.node_mass * self.node_u).sum())
+    # The totals form their products in ``work``, a (cells, nodes) pair of
+    # buffers of N and N + 1 (None allocates); each sum sees the same values in
+    # the same order either way.
+    def total_momentum(self, mesh: Mesh1D, work=(None, None)) -> float:
+        return float(np.multiply(mesh.node_mass, self.node_u, work[1]).sum())
 
-    def total_energy(self, mesh: Mesh1D) -> float:
-        internal = (mesh.cell_mass * self.eps).sum()
-        kinetic = 0.5 * (mesh.node_mass * self.node_u ** 2).sum()
-        return float(internal + kinetic)
+    def total_energy(self, mesh: Mesh1D, work=(None, None)) -> float:
+        internal = np.multiply(mesh.cell_mass, self.eps, work[0]).sum()
+        kinetic = np.square(self.node_u, work[1])
+        return float(internal + 0.5 * np.multiply(mesh.node_mass, kinetic, kinetic).sum())
 
 
 @dataclass(eq=False)
@@ -135,27 +146,34 @@ class CchState:
 
     @property
     def max_speed(self) -> float:
-        return float(_greatest(np.abs(self.u)))
+        return _largest_magnitude(self.u)
 
-    def velocity_jumps(self) -> np.ndarray:
-        """Largest velocity jump to either neighbor, per cell."""
-        d = np.abs(self.u[1:] - self.u[:-1])
-        jumps = np.empty(len(self.u))
+    def velocity_jumps(self, workspace=None) -> np.ndarray:
+        """Largest velocity jump to either neighbor, per cell; written into the
+        first ``cells`` buffer of ``workspace`` (the first ``faces`` buffer holds
+        the jumps per face) when one is given."""
+        if workspace is None:
+            d, jumps = np.subtract(self.u[1:], self.u[:-1]), np.empty(len(self.u))
+        else:
+            d = np.subtract(self.u[1:], self.u[:-1], workspace.faces[0])
+            jumps = workspace.cells[0]
+        np.abs(d, d)
         jumps[0], jumps[-1] = d[0], d[-1]
         np.maximum(d[:-1], d[1:], out=jumps[1:-1])
         return jumps
 
-    def total_momentum(self, mesh: Mesh1D) -> float:
-        return float((mesh.cell_mass * self.u).sum())
+    def total_momentum(self, mesh: Mesh1D, work=(None, None)) -> float:
+        return float(np.multiply(mesh.cell_mass, self.u, work[0]).sum())
 
-    def total_energy(self, mesh: Mesh1D) -> float:
-        return float((mesh.cell_mass * self.E).sum())
+    def total_energy(self, mesh: Mesh1D, work=(None, None)) -> float:
+        return float(np.multiply(mesh.cell_mass, self.E, work[0]).sum())
 
 
 class Workspace:
     """The float buffers a run's steps reuse for every temporary: twelve ``faces``
     of N - 1 (the interior nodes), four ``cells`` of N and one ``nodes`` of N + 1.
-    No array a caller can keep (state, mesh, report, nodal fields) lives here."""
+    No array a caller can keep (state, mesh, report, nodal fields) lives here, so
+    ``cli.run`` also puts the CFL candidate's temporaries here between steps."""
 
     def __init__(self, n_cells: int):
         self.faces = [np.empty(n_cells - 1) for _ in range(12)]

@@ -153,11 +153,12 @@ class ProblemSpec:
     center_energy: float | None = None   # total energy deposited at the center
 
     def __post_init__(self):
-        # the name starts every output file name: one nonempty path component
+        # the name starts every output file name: one nonempty path component;
+        # it is also a `.summary` value, so one line with no key separator
         if (not isinstance(self.name, str) or self.name in ("", ".", "..")
-                or any(ch in self.name for ch in "/\\\0")):
-            raise ValueError(f"name must be a file name without '/', '\\' or NUL, "
-                             f"got {self.name!r}")
+                or not self.name.isprintable() or any(ch in self.name for ch in "/\\=")):
+            raise ValueError(f"name must be a printable file name without '/', '\\' "
+                             f"or '=', got {self.name!r}")
         if not 0.0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if not 1.0 < self.gamma < np.inf:

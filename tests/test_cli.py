@@ -228,24 +228,69 @@ class TestDeterminism:
         assert a[2] == b[2]
 
 
+def per_value_rows(columns) -> str:
+    """The writer ``cli._write_rows`` replaced: one value at a time."""
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns))
+
+
+def _nan(payload: int, sign: int = 0) -> float:
+    return np.array([sign << 63 | 0x7FF8 << 48 | payload], np.uint64).view(float)[0]
+
+
+_RNG = np.random.default_rng(11)
+_DISTINCT = _RNG.standard_normal(20) * 10.0 ** _RNG.integers(-5, 5, 20)
+# columns holding runs of equal bits, with CHUNK = 8 rows a chunk
+RUN_CASES = {
+    "run_across_chunk_boundary": [[1.0] * 3 + [2.5] * 10 + [3.0] * 3, _DISTINCT[:16]],
+    "run_fills_a_chunk": [[0.5] * 8 + [0.25] * 8 + [1 / 3] * 4, _DISTINCT],
+    "signed_zeros": [[0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 0.0],
+                     [-0.0] * 6 + [0.0] * 6],
+    "nan_payloads": [[_nan(1), _nan(1), _nan(2), _nan(2), _nan(2), _nan(1, sign=1),
+                      _nan(1, sign=1), 1.0, 1.0, _nan(0), np.nan, _nan(2)], [4.0] * 12],
+    "infinities": [[np.inf] * 4 + [-np.inf] * 4 + [np.inf, np.inf, -np.inf, 5e-324],
+                   _DISTINCT[:12]],
+    "no_repeat_column_beside_runs": [_DISTINCT, [7.0] * 10 + [-7.0] * 10, [0.1] * 20],
+}
+# columns the writer formats value by value
+VALUE_CASES = {
+    "one_row": [[0.1], [-0.0], [np.nan]],
+    "no_repeats": [_DISTINCT, _DISTINCT[::-1]],
+    "few_repeats": [_DISTINCT, list(_DISTINCT[:19]) + [_DISTINCT[18]]],
+}
+CHUNK = 8
+
+
+def _repeat_share(columns) -> float:
+    bits = np.array(columns, dtype=float).view(np.int64)
+    return np.count_nonzero(bits[:, 1:] == bits[:, :-1]) / bits.size
+
+
 class TestWriteRows:
     def test_bytes_match_per_value_writer(self):
         rng = np.random.default_rng(5)
-        n = 2 * 1024 + 7   # eight full 256-row chunks and a partial one
+        n = 2 * 1024 + 7   # two full 1,024-row chunks and a partial one
         special = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, -1e-300, np.inf, -np.inf, np.nan])
         columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(3)]
         for i, col in enumerate(columns):
             col[i::len(special)][:len(special)] = special
         columns.append(np.linspace(0.0, 1.0, n))
 
-        expected = io.StringIO()
-        for row in zip(*columns):   # the writer it replaced: one value at a time
-            expected.write(",".join(f"{v:.17g}" for v in row) + "\n")
         got = io.StringIO()
         cli._write_rows(got, columns)
-        assert got.getvalue() == expected.getvalue()
+        assert got.getvalue() == per_value_rows(columns)
         assert got.getvalue().count("\n") == n
         assert "-0," in got.getvalue() and "4.9406564584124654e-324" in got.getvalue()
+
+    @pytest.mark.parametrize("chunk", [CHUNK, 1024])
+    @pytest.mark.parametrize("case", list(RUN_CASES) + list(VALUE_CASES))
+    def test_runs_match_per_value_writer(self, case, chunk):
+        columns = [np.array(c, dtype=float) for c in {**RUN_CASES, **VALUE_CASES}[case]]
+        # a run case repeats at least one value in six, so its chunks take the
+        # run path; a value case repeats fewer
+        assert (_repeat_share(columns) >= 1 / 6) == (case in RUN_CASES)
+        got = io.StringIO()
+        cli._write_rows(got, columns, chunk=chunk)
+        assert got.getvalue() == per_value_rows(columns)
 
 
 class TestConvergenceRunner:
@@ -385,9 +430,12 @@ class TestCommandLine:
         (lambda spec: spec.update(name="../escaped"), "name"),
         (lambda spec: spec.update(name=""), "name"),
         (lambda spec: spec.update(name=5), "name"),
+        (lambda spec: spec.update(name="x\nstatus=failure"), "name"),
+        (lambda spec: spec.update(name="a=b"), "name"),
     ], ids=["unknown_region_key", "gamma_one", "negative_density", "negative_density_expr",
             "kinetic_energy_overflow", "negative_center_energy", "nan_center_energy",
-            "name_with_slash", "name_escaping_out", "empty_name", "name_not_a_string"])
+            "name_with_slash", "name_escaping_out", "empty_name", "name_not_a_string",
+            "name_forging_summary_line", "name_with_key_separator"])
     def test_bad_spec_file_is_config_error(self, tmp_path, capsys, edit, named):
         spec = uh.sod().to_dict()
         edit(spec)
