@@ -42,13 +42,8 @@ class NodalField:
     p_star_right: np.ndarray   # from the right cell's one-sided relation
     order: np.ndarray          # ACOUSTIC or QUADRATIC per node
 
-    @property
-    def p_star(self) -> np.ndarray:
-        """Single nodal star pressure shared by both neighbors."""
-        return 0.5 * (self.p_star_left + self.p_star_right)
 
-
-@dataclass(frozen=True)
+@dataclass
 class CchStepReport:
     nodal: NodalField
     entropy_production: np.ndarray
@@ -96,13 +91,16 @@ def solve_all_nodes(state: CchState, gas: IdealGas, bc_left: BoundaryCondition,
                     bc_right: BoundaryCondition, solver: str = "quadratic",
                     scratch=None) -> NodalField:
     """Star states at every node: ``closure.solve_nodes`` inside (with its
-    ``scratch``), boundary rules at the two ends."""
+    ``scratch``), boundary rules at the two ends. The acoustic solver gives one
+    pressure per node, so its field holds one array as both sides' pressures."""
     n_nodes = len(state.rho) + 1
-    u_star, psl, psr = np.empty(n_nodes), np.empty(n_nodes), np.empty(n_nodes)
-    order = np.empty(n_nodes, dtype=np.int8)
+    u_star, psl, order = np.empty(n_nodes), np.empty(n_nodes), np.empty(n_nodes, dtype=np.int8)
+    psr = psl if solver == "acoustic" else np.empty(n_nodes)
+    inner = psl[1:-1]
     closure.solve_nodes(state.rho[:-1], state.c[:-1], state.p[:-1], state.u[:-1],
-                        state.rho[1:], state.c[1:], state.p[1:], state.u[1:], gas.gamma,
-                        solver, (u_star[1:-1], psl[1:-1], psr[1:-1], order[1:-1]), scratch)
+                        state.rho[1:], state.c[1:], state.p[1:], state.u[1:], gas.gamma, solver,
+                        (u_star[1:-1], inner, inner if psr is psl else psr[1:-1], order[1:-1]),
+                        scratch)
     u_star[0], psl[0], psr[0], order[0] = _boundary_node(
         bc_left, state.rho[0], state.c[0], state.p[0], state.u[0], gas.gamma, solver, "left")
     u_star[-1], psl[-1], psr[-1], order[-1] = _boundary_node(
@@ -118,14 +116,16 @@ def step(state: CchState, mesh: Mesh1D, gas: IdealGas, dt: float,
     ws = workspace or mesh_mod.Workspace(len(state.rho))
     nodal = solve_all_nodes(state, gas, bc_left, bc_right, solver, ws.faces)
     us, m, (dt_m, t, d_left, d_right) = nodal.u_star, mesh.cell_mass, ws.cells
-    ps = np.multiply(0.5, np.add(nodal.p_star_left, nodal.p_star_right, ws.nodes), ws.nodes)
+    psl, psr = nodal.p_star_left, nodal.p_star_right
+    # one array is its own mean: 0.5 (x + x) is x
+    ps = psl if psl is psr else np.multiply(0.5, np.add(psl, psr, ws.nodes[0]), ws.nodes[0])
     np.divide(dt, m, dt_m)
 
     u_new = np.subtract(ps[:-1], ps[1:])   # u + dt/m (p*_L - p*_R), E + dt/m (p*u*_L - p*u*_R)
     np.add(state.u, np.multiply(dt_m, u_new, u_new), u_new)
-    E_new = np.multiply(ps[:-1], us[:-1])
-    np.add(state.E, np.multiply(dt_m, np.subtract(E_new, np.multiply(ps[1:], us[1:], t), E_new),
-                                E_new), E_new)
+    pu = np.multiply(ps, us, ws.nodes[1])
+    E_new = np.subtract(pu[:-1], pu[1:])
+    np.add(state.E, np.multiply(dt_m, E_new, E_new), E_new)
     new_mesh = mesh_mod.update_geometry(mesh, us, dt)
     rho_new = m / new_mesh.cell_volumes
     eps_new = E_new - np.multiply(0.5, np.square(u_new, t), t)
@@ -134,7 +134,7 @@ def step(state: CchState, mesh: Mesh1D, gas: IdealGas, dt: float,
 
     production = entropy_production_cch(  # d_left = u - u*_L, d_right = u*_R - u
         state.p, np.subtract(state.u, us[:-1], d_left), np.subtract(us[1:], state.u, d_right),
-        nodal.p_star_right, nodal.p_star_left, t)
+        psr, psl, t)
     p0, pn, u0, un = float(ps[0]), float(ps[-1]), float(us[0]), float(us[-1])
     flux = BoundaryFlux(impulse_left=dt * p0, impulse_right=-dt * pn,
                         work_left=dt * p0 * u0, work_right=-dt * pn * un)

@@ -112,7 +112,7 @@ def _admissible(c, d, k, t=None):
     return c >= np.multiply(k, np.abs(d, t), t)
 
 
-def _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, dl0, dr0, zl, zr, out,
+def _quadratic_kernel(rl, cl, pl, rr, cr, pr, gamma, u_ac, dl0, dr0, zl, zr, out,
                       scratch=None):
     """The quadratic force balance for delta = u* - u_ac, with the admissibility
     test, written into ``out`` = (u_star, p_star_left_side, p_star_right_side,
@@ -156,9 +156,10 @@ def solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma: float, solver: str = "qua
 
     Returns (u_star, p_star_left_side, p_star_right_side, order), order being
     ACOUSTIC or QUADRATIC per node, in the arrays of ``out`` if given. The acoustic
-    solver gives the acoustic values, one pressure for both sides. The quadratic
-    solver keeps an admissible quadratic root and gives the two-shock solve where
-    it is rejected, with one star pressure on both sides and order ACOUSTIC.
+    solver gives the acoustic values, one pressure for both sides (``out`` may hold
+    one array for both). The quadratic solver keeps an admissible quadratic root
+    and gives the two-shock solve where it is rejected, with one star pressure on
+    both sides and order ACOUSTIC.
     ``scratch`` holds twelve float buffers shaped like ``rl`` for the temporaries.
     """
     if solver not in SOLVERS:
@@ -168,13 +169,15 @@ def solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma: float, solver: str = "qua
     zl, zr, u_ac, dl0, dr0, *kernel_scratch = scratch or _buffers(np.shape(rl), 12)
     if solver == "acoustic":
         _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, (u_star, ps_l, u_ac, zl, zr))
-        ps_r[...], order[...] = ps_l, ACOUSTIC
+        if ps_r is not ps_l:
+            ps_r[...] = ps_l
+        order[...] = ACOUSTIC
         return out
     zl, zr = np.multiply(rl, cl, zl), np.multiply(rr, cr, zr)
     _balance_velocity(zl, ul, zr, ur, np.subtract(pl, pr, dl0), u_ac, dr0)  # the acoustic guess
     dl0, dr0 = np.subtract(u_ac, ul, dl0), np.subtract(ur, u_ac, dr0)
     accepted = order.view(np.bool_)   # QUADRATIC = 1, ACOUSTIC = 0
-    _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, dl0, dr0, zl, zr,
+    _quadratic_kernel(rl, cl, pl, rr, cr, pr, gamma, u_ac, dl0, dr0, zl, zr,
                       (u_star, ps_l, ps_r, accepted), kernel_scratch)
     if not _least(accepted):
         j = (~accepted).nonzero()[0]

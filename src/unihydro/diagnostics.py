@@ -2,7 +2,9 @@
 
 The steppers report their boundary fluxes each step; the ledger checks that
 total momentum and energy drift only by the accumulated boundary impulse and
-work, and that total mass never changes at all.
+work, and that total mass never changes at all. Mass is checked by structure:
+a step whose mesh carries the opening mesh's read-only ``cell_mass`` array has
+the opening mass, which is summed once per run; any other mesh is summed.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh1D, _least
+from .mesh import Mesh1D, _least, _sum
 
 __all__ = [
     "BoundaryFlux", "ConservationLedger", "EntropyMonitor",
@@ -24,7 +26,7 @@ ENTROPY_TOL = 1e-12
 CONSERVATION_TOL = 1e-9   # relative momentum/energy residual the audit allows
 
 
-@dataclass(frozen=True)
+@dataclass   # built once a step and never written after: a frozen __init__ costs 3x
 class BoundaryFlux:
     """Signed per-step contributions of the two boundaries to the totals."""
 
@@ -37,8 +39,18 @@ class BoundaryFlux:
 def totals(mesh: Mesh1D, state, work=(None, None)) -> tuple[float, float, float]:
     """(mass, momentum, total energy) of a state on its mesh; the products go
     into ``work``, a (cells, nodes) pair of buffers of N and N + 1 floats."""
-    return (float(mesh.cell_mass.sum()), state.total_momentum(mesh, work),
+    return (float(_sum(mesh.cell_mass)), state.total_momentum(mesh, work),
             state.total_energy(mesh, work))
+
+
+# Each residual rule once, for the properties and the per-step fold alike.
+def _residual(now: float, start: float, left: float, right: float) -> float:
+    """The drift of a total less what the two boundaries put in."""
+    return (now - start) - (left + right)
+
+
+def _relative(residual: float, scale: float) -> float:
+    return abs(residual) / max(scale, 1e-300)
 
 
 @dataclass
@@ -58,21 +70,27 @@ class ConservationLedger:
     steps: int = 0
     violations: list = field(default_factory=list)
     work: tuple = field(default=(None, None), repr=False, compare=False)   # totals' products
+    cell_mass: np.ndarray = field(default=None, repr=False, compare=False)  # mass0's array
 
     @classmethod
     def open(cls, mesh: Mesh1D, state) -> "ConservationLedger":
         work = (np.empty(mesh.n_cells), np.empty(mesh.n_cells + 1))
         m, p, e = totals(mesh, state, work)
-        ledger = cls(mass0=m, momentum0=p, energy0=e, mass=m, momentum=p, energy=e, work=work)
-        ledger._update_scales(state)
+        ledger = cls(mass0=m, momentum0=p, energy0=e, mass=m, momentum=p, energy=e,
+                     work=work, cell_mass=mesh.cell_mass)
+        ledger._fold(state.max_speed)
         return ledger
 
-    def _update_scales(self, state):
-        mom = self.mass * state.max_speed
-        self.momentum_scale = max(self.momentum_scale, mom,
-                                  abs(self.impulse_left) + abs(self.impulse_right))
-        self.energy_scale = max(self.energy_scale, abs(self.energy),
-                                abs(self.work_left) + abs(self.work_right))
+    def _fold(self, max_speed: float) -> tuple[float, float]:
+        """Raise the scales to the current totals and fluxes; the relative
+        momentum and energy residuals against them."""
+        il, ir, wl, wr = self.impulse_left, self.impulse_right, self.work_left, self.work_right
+        momentum_scale = self.momentum_scale = max(
+            self.momentum_scale, self.mass * max_speed, abs(il) + abs(ir))
+        energy_scale = self.energy_scale = max(
+            self.energy_scale, abs(self.energy), abs(wl) + abs(wr))
+        return (_relative(_residual(self.momentum, self.momentum0, il, ir), momentum_scale),
+                _relative(_residual(self.energy, self.energy0, wl, wr), energy_scale))
 
     # -- residuals ----------------------------------------------------------
 
@@ -90,19 +108,19 @@ class ConservationLedger:
 
     @property
     def momentum_residual(self) -> float:
-        return (self.momentum - self.momentum0) - self.boundary_impulse
+        return _residual(self.momentum, self.momentum0, self.impulse_left, self.impulse_right)
 
     @property
     def energy_residual(self) -> float:
-        return (self.energy - self.energy0) - self.boundary_work
+        return _residual(self.energy, self.energy0, self.work_left, self.work_right)
 
     @property
     def momentum_residual_rel(self) -> float:
-        return abs(self.momentum_residual) / max(self.momentum_scale, 1e-300)
+        return _relative(self.momentum_residual, self.momentum_scale)
 
     @property
     def energy_residual_rel(self) -> float:
-        return abs(self.energy_residual) / max(self.energy_scale, 1e-300)
+        return _relative(self.energy_residual, self.energy_scale)
 
 
 def audit_step(ledger: ConservationLedger, mesh: Mesh1D, state,
@@ -115,17 +133,24 @@ def audit_step(ledger: ConservationLedger, mesh: Mesh1D, state,
     ledger.impulse_right += boundary.impulse_right
     ledger.work_left += boundary.work_left
     ledger.work_right += boundary.work_right
-    ledger.mass, ledger.momentum, ledger.energy = totals(mesh, state, ledger.work)
+    masses = mesh.cell_mass
+    if masses is ledger.cell_mass and not masses.flags.writeable:
+        mass = ledger.mass0   # the opening masses, unchanged: the same sum
+    else:
+        mass = float(_sum(masses))
+    ledger.mass = mass
+    ledger.momentum = state.total_momentum(mesh, ledger.work)
+    ledger.energy = state.total_energy(mesh, ledger.work)
     ledger.steps += 1
-    ledger._update_scales(state)
-    if (ledger.mass_drift != 0.0
-            or ledger.momentum_residual_rel > CONSERVATION_TOL
-            or ledger.energy_residual_rel > CONSERVATION_TOL):
+    momentum_rel, energy_rel = ledger._fold(state.max_speed)
+    mass_drift = mass - ledger.mass0
+    if (mass_drift != 0.0 or momentum_rel > CONSERVATION_TOL
+            or energy_rel > CONSERVATION_TOL):
         ledger.violations.append({
             "step": ledger.steps,
-            "mass_drift": ledger.mass_drift,
-            "momentum_residual_rel": ledger.momentum_residual_rel,
-            "energy_residual_rel": ledger.energy_residual_rel,
+            "mass_drift": mass_drift,
+            "momentum_residual_rel": momentum_rel,
+            "energy_residual_rel": energy_rel,
         })
     return ledger
 

@@ -35,6 +35,10 @@ def _largest_magnitude(a: np.ndarray) -> float:
     return abs(float(max(-_least(a), _greatest(a))))
 
 
+# ndarray.sum without its Python wrapper: the same pairwise sum, 0.1 us sooner.
+_sum = np.add.reduce
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -71,10 +75,6 @@ class Mesh1D:
         for name in ("cell_mass", "node_mass"):
             if np.any(getattr(self, name) <= 0.0):
                 raise ValueError(f"{name} must be strictly positive")
-
-    def replace_nodes(self, node_x: np.ndarray) -> "Mesh1D":
-        """New mesh on ``node_x``, which it makes read-only; masses are shared."""
-        return Mesh1D(_frozen(node_x), self.cell_mass, self.node_mass)
 
     @classmethod
     def from_nodes(cls, node_x, cell_rho=1.0) -> "Mesh1D":
@@ -121,12 +121,12 @@ class SghState:
     # buffers of N and N + 1 (None allocates); each sum sees the same values in
     # the same order either way.
     def total_momentum(self, mesh: Mesh1D, work=(None, None)) -> float:
-        return float(np.multiply(mesh.node_mass, self.node_u, work[1]).sum())
+        return float(_sum(np.multiply(mesh.node_mass, self.node_u, work[1])))
 
     def total_energy(self, mesh: Mesh1D, work=(None, None)) -> float:
-        internal = np.multiply(mesh.cell_mass, self.eps, work[0]).sum()
+        internal = float(_sum(np.multiply(mesh.cell_mass, self.eps, work[0])))
         kinetic = np.square(self.node_u, work[1])
-        return float(internal + 0.5 * np.multiply(mesh.node_mass, kinetic, kinetic).sum())
+        return internal + 0.5 * float(_sum(np.multiply(mesh.node_mass, kinetic, kinetic)))
 
 
 @dataclass(eq=False)
@@ -163,22 +163,22 @@ class CchState:
         return jumps
 
     def total_momentum(self, mesh: Mesh1D, work=(None, None)) -> float:
-        return float(np.multiply(mesh.cell_mass, self.u, work[0]).sum())
+        return float(_sum(np.multiply(mesh.cell_mass, self.u, work[0])))
 
     def total_energy(self, mesh: Mesh1D, work=(None, None)) -> float:
-        return float(np.multiply(mesh.cell_mass, self.E, work[0]).sum())
+        return float(_sum(np.multiply(mesh.cell_mass, self.E, work[0])))
 
 
 class Workspace:
     """The float buffers a run's steps reuse for every temporary: twelve ``faces``
-    of N - 1 (the interior nodes), four ``cells`` of N and one ``nodes`` of N + 1.
+    of N - 1 (the interior nodes), four ``cells`` of N and two ``nodes`` of N + 1.
     No array a caller can keep (state, mesh, report, nodal fields) lives here, so
     ``cli.run`` also puts the CFL candidate's temporaries here between steps."""
 
     def __init__(self, n_cells: int):
         self.faces = [np.empty(n_cells - 1) for _ in range(12)]
         self.cells = [np.empty(n_cells) for _ in range(4)]
-        self.nodes = np.empty(n_cells + 1)
+        self.nodes = [np.empty(n_cells + 1) for _ in range(2)]
 
 
 def cell_thermo(gas: IdealGas, rho, eps, floors=(0.0, 0.0)):
@@ -213,6 +213,8 @@ def update_geometry(mesh: Mesh1D, u_star: np.ndarray, dt: float) -> Mesh1D:
     volumes = new_x[1:] - new_x[:-1]
     if not _least(volumes) > 0.0 and np.any(volumes <= 0.0):  # NaN passes both tests
         raise MeshTangled("mesh tangling", cell=int(np.argmax(volumes <= 0.0)))
-    moved = mesh.replace_nodes(new_x)
-    moved.cell_volumes = _frozen(volumes)
+    new_x.setflags(write=False)
+    volumes.setflags(write=False)
+    moved = Mesh1D(new_x, mesh.cell_mass, mesh.node_mass)   # the masses are shared
+    moved.cell_volumes = volumes
     return moved

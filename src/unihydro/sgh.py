@@ -27,7 +27,7 @@ __all__ = ["SghStepReport", "step"]
 MODES = ("predictor_only", "predictor_corrector")
 
 
-@dataclass(frozen=True)
+@dataclass
 class SghStepReport:
     du: np.ndarray                  # velocity jumps the predictor's star pressures saw
     p_star: np.ndarray              # per-cell star pressure the update used

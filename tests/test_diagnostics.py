@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import unihydro as uh
+from unihydro import cch, sgh
 from unihydro import diagnostics as diag
 from unihydro.eos import IdealGas
 from unihydro.problems import BoundaryCondition, ProblemSpec, Region
@@ -70,6 +71,35 @@ class TestLedger:
         ledger = diag.ConservationLedger.open(mesh, state)
         with pytest.raises(ValueError, match="mismatch"):
             diag.audit_step(ledger, other_mesh, state, diag.BoundaryFlux())
+
+    @pytest.mark.parametrize("method", ["sgh", "cch"])
+    def test_mass_is_summed_unless_the_opening_masses_carry_over(self, method):
+        """A step's mesh that carries the opening read-only ``cell_mass`` array
+        keeps the opening mass; any other masses are summed, so a change shows."""
+        problem = uh.by_name("sod")
+        gas = IdealGas(problem.gamma)
+        mesh, state = uh.build_initial(problem, 10, method)
+        step = sgh.step if method == "sgh" else cch.step
+        ledger = diag.ConservationLedger.open(mesh, state)
+        moved, state, report = step(state, mesh, gas, 1e-4, problem.bc_left, problem.bc_right)
+        assert moved.cell_mass is mesh.cell_mass
+        diag.audit_step(ledger, moved, state, report.boundary)
+        assert ledger.mass == ledger.mass0 and ledger.mass_drift == 0.0
+        assert not ledger.violations
+
+        # another cell_mass array with another sum
+        heavier = uh.Mesh1D(moved.node_x, moved.cell_mass * 1.5, moved.node_mass)
+        diag.audit_step(ledger, heavier, state, diag.BoundaryFlux())
+        assert ledger.mass == pytest.approx(1.5 * ledger.mass0, rel=1e-15)
+        assert ledger.violations[-1]["mass_drift"] == ledger.mass_drift != 0.0
+
+        # the opening array itself, made writeable and edited in place
+        ledger = diag.ConservationLedger.open(mesh, state)
+        mesh.cell_mass.setflags(write=True)
+        mesh.cell_mass[0] *= 2.0
+        diag.audit_step(ledger, moved, state, diag.BoundaryFlux())
+        assert ledger.mass == float(mesh.cell_mass.sum()) > ledger.mass0
+        assert ledger.violations[-1]["mass_drift"] == ledger.mass_drift != 0.0
 
 
 class TestEntropyProduction:

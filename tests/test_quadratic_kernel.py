@@ -110,7 +110,7 @@ def quadratic(rl, cl, pl, ul, rr, cr, pr, ur, u_ac):
     """``_quadratic_kernel`` around the acoustic guess ``u_ac``, into fresh arrays."""
     n = np.shape(u_ac)
     out = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
-    return _quadratic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, GAMMA, u_ac, u_ac - ul, ur - u_ac,
+    return _quadratic_kernel(rl, cl, pl, rr, cr, pr, GAMMA, u_ac, u_ac - ul, ur - u_ac,
                              rl * cl, rr * cr, out)
 
 

@@ -78,7 +78,7 @@ def ref_solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma, solver):
     out = (np.empty(u_ac.shape), np.empty(u_ac.shape), np.empty(u_ac.shape),
            np.empty(u_ac.shape, dtype=bool))
     u_star, ps_l, ps_r, accepted = closure._quadratic_kernel(
-        rl, cl, pl, ul, rr, cr, pr, ur, gamma, u_ac, u_ac - ul, ur - u_ac, rl * cl, rr * cr, out)
+        rl, cl, pl, rr, cr, pr, gamma, u_ac, u_ac - ul, ur - u_ac, rl * cl, rr * cr, out)
     j = np.flatnonzero(~accepted)
     if j.size:
         u_star[j], p_2s = ref_two_shock(
