@@ -308,10 +308,10 @@ def run_convergence(config: RunConfig, n_list, n_reference: int = 3200) -> Conve
     problem = resolve_problem(config.problem)
     t_end = problem.t_end if config.t_end is None else float(config.t_end)
     table = ConvergenceTable(problem.name, config.method)
-
-    reference_cache = None
-    if problem.reference == "self_converged":
-        reference_cache = problems_mod._self_reference_run(problem, t_end, n_reference)
+    try:
+        reference = problems_mod.reference(problem, t_end, n_reference)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     for n in n_list:
         cfg = replace(config, n_cells=int(n), out=None)
@@ -321,12 +321,7 @@ def run_convergence(config: RunConfig, n_list, n_reference: int = 3200) -> Conve
             raise SolverFailure(
                 f"convergence run N={n} failed: {failure.reason}",
                 step=failure.step, time=failure.time, cell=failure.cell) from failure
-        centers = result.mesh.cell_centers
-        if reference_cache is None:
-            ref = problems_mod.sample_reference(problem, centers, result.t_final)
-        else:
-            rx, rfields = reference_cache
-            ref = {f: np.interp(centers, rx, rfields[f]) for f in FIELDS}
+        ref = reference(result.mesh.cell_centers)
         num = {"rho": result.state.rho, "u": result.state.cell_u,
                "p": result.state.p, "eps": result.state.eps}
         vols = result.mesh.cell_volumes
@@ -460,7 +455,10 @@ def _write_reference(args):
     if not 0.0 <= args.t <= problem.t_end:
         raise ConfigError(f"--t must be in [0, t_end = {problem.t_end}], got {args.t}")
     x = np.linspace(problem.domain[0], problem.domain[1], args.points)
-    ref = problems_mod.sample_reference(problem, x, args.t)
+    try:
+        ref = problems_mod.sample_reference(problem, x, args.t)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         fh = open(args.out, "w", encoding="utf-8", newline="\n")
     except OSError as exc:

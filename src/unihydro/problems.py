@@ -23,7 +23,7 @@ __all__ = [
     "BoundaryCondition", "Region", "ProblemSpec",
     "sod", "lax", "double_rarefaction", "sedov", "shu_osher", "leblanc",
     "by_name", "PROBLEM_NAMES", "build_initial",
-    "exact_riemann_star", "sample_reference",
+    "exact_riemann_star", "reference", "sample_reference",
 ]
 
 _BC_KINDS = ("transmissive", "wall", "prescribed_velocity", "prescribed_pressure")
@@ -112,6 +112,9 @@ class Region:
     rho_expr: str | None = None
 
     def __post_init__(self):
+        if not -np.inf < self.x_lo < self.x_hi < np.inf:
+            raise ValueError(f"region [{self.x_lo}, {self.x_hi}) is not a finite, "
+                             f"nonempty interval")
         if (self.p is None) == (self.e is None):
             raise ValueError("region needs exactly one of p or e")
         energy = "p" if self.e is None else "e"
@@ -349,8 +352,6 @@ def build_initial(problem: ProblemSpec, n_cells: int, method: str):
     mirror-symmetric data stays exactly symmetric.
     """
     a, b = float(problem.domain[0]), float(problem.domain[1])
-    if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
-        raise ValueError(f"domain must be a nonempty interval, got ({a}, {b})")
     if n_cells < 2:
         raise ValueError(f"need at least 2 cells, got {n_cells}")
     if method not in ("sgh", "cch"):
@@ -392,19 +393,7 @@ def exact_riemann_star(left, right, gamma: float) -> riemann.RiemannSolution:
     The result unpacks as ``p_star, u_star = exact_riemann_star(...)`` and
     carries the vacuum flag and sampling methods.
     """
-    lstate = left if isinstance(left, riemann.PrimitiveState) else riemann.PrimitiveState(*left)
-    rstate = right if isinstance(right, riemann.PrimitiveState) else riemann.PrimitiveState(*right)
-    return riemann.solve(lstate, rstate, gamma)
-
-
-def _riemann_solution(problem: ProblemSpec) -> tuple[float, riemann.RiemannSolution]:
-    if len(problem.regions) != 2:
-        raise ValueError(f"{problem.name}: not a two-state Riemann problem")
-    lreg, rreg = problem.regions
-    x0 = lreg.x_hi
-    left = riemann.PrimitiveState(lreg.rho, lreg.u, float(lreg.pressure(np.array([lreg.rho]), problem.gamma)[0]))
-    right = riemann.PrimitiveState(rreg.rho, rreg.u, float(rreg.pressure(np.array([rreg.rho]), problem.gamma)[0]))
-    return x0, riemann.solve(left, right, problem.gamma)
+    return riemann.solve(riemann.PrimitiveState(*left), riemann.PrimitiveState(*right), gamma)
 
 
 def _self_reference_run(problem: ProblemSpec, t: float, n_reference: int):
@@ -419,25 +408,36 @@ def _self_reference_run(problem: ProblemSpec, t: float, n_reference: int):
     return centers, {"rho": s.rho, "u": s.u, "p": s.p, "eps": s.eps}
 
 
+def reference(problem: ProblemSpec, t: float, n_reference: int = 3200):
+    """The reference at time t in [0, t_end] as a function of positions x that
+    returns the profiles {"rho", "u", "p", "eps"}: the initial data at t = 0,
+    else the exact fan between an ``exact_riemann`` problem's two regions, else
+    each field of the fine run of ``_self_reference_run`` interpolated linearly.
+    The star state or the fine run is made here, once."""
+    if not 0.0 <= t <= problem.t_end * (1.0 + 1e-12):
+        raise ValueError(f"reference time t={t} outside [0, t_end={problem.t_end}]")
+    if problem.reference == "exact_riemann" and (
+            len(problem.regions) != 2 or any(r.rho_expr for r in problem.regions)):
+        raise ValueError(f"{problem.name}: an exact_riemann reference needs two regions "
+                         f"of constant density")
+    if problem.reference == "self_converged" and t > 0.0:
+        centers, fields = _self_reference_run(problem, t, n_reference)
+        return lambda x: {f: np.interp(x, centers, v) for f, v in fields.items()}
+    primitives = problem.primitives_at
+    if t > 0.0:
+        x0 = problem.regions[0].x_hi
+        fan = exact_riemann_star(*np.transpose(primitives([problem.domain[0], x0])).tolist(),
+                                 problem.gamma)
+        primitives = lambda x: fan.sample((x - x0) / t)
+
+    def profiles(x):
+        rho, u, p = primitives(x)
+        eps = np.divide(p, (problem.gamma - 1.0) * rho, out=np.zeros_like(p), where=rho > 0.0)
+        return {"rho": rho, "u": u, "p": p, "eps": eps}
+    return profiles
+
+
 def sample_reference(problem: ProblemSpec, x_points, t: float,
                      n_reference: int = 3200) -> dict[str, np.ndarray]:
-    """Reference primitive profiles (rho, u, p, eps) at the given positions."""
-    x = np.atleast_1d(np.asarray(x_points, dtype=float))
-    if not 0.0 <= t <= problem.t_end * (1.0 + 1e-12):
-        raise ValueError(f"t={t} outside [0, t_end={problem.t_end}]")
-    gamma = problem.gamma
-    if t <= 0.0:
-        rho, u, p = problem.primitives_at(x)
-    elif problem.reference == "exact_riemann":
-        x0, solution = _riemann_solution(problem)
-        rho, u, p = solution.sample((x - x0) / t)
-    elif problem.reference == "self_converged":
-        centers, fields = _self_reference_run(problem, t, n_reference)
-        rho = np.interp(x, centers, fields["rho"])
-        u = np.interp(x, centers, fields["u"])
-        p = np.interp(x, centers, fields["p"])
-    else:  # pragma: no cover - enum checked at construction
-        raise ValueError(f"unsupported reference {problem.reference!r}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eps = np.where(rho > 0.0, p / ((gamma - 1.0) * np.where(rho > 0.0, rho, 1.0)), 0.0)
-    return {"rho": rho, "u": u, "p": p, "eps": eps}
+    """``reference(problem, t, n_reference)`` sampled at the positions x_points."""
+    return reference(problem, t, n_reference)(np.atleast_1d(np.asarray(x_points, dtype=float)))

@@ -78,6 +78,22 @@ def test_convergence_runs_go_through_cli_run(monkeypatch):
     assert calls == [("cch", 40), ("sgh", 20), ("sgh", 40)]
 
 
+def test_exact_reference_study_makes_no_hidden_run(monkeypatch):
+    """On an exact-reference problem ``run_convergence`` calls ``cli.run`` once per
+    resolution and no more: the ``converge`` workload's step count relies on it."""
+    from unihydro import cli
+
+    inner, calls = cli.run, []
+
+    def recording(config):
+        calls.append((config.method, config.n_cells))
+        return inner(config)
+
+    monkeypatch.setattr(cli, "run", recording)
+    cli.run_convergence(cli.RunConfig(problem="lax", method="sgh"), [20, 40], n_reference=40)
+    assert calls == [("sgh", 20), ("sgh", 40)]
+
+
 def test_snapshot_write_arguments(monkeypatch, tmp_path):
     """The tracer's byte counter takes the config and the problem from ``args[0]``
     and ``args[1]`` of ``cli._write_outputs`` and a snapshot's tag from the

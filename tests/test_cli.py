@@ -303,6 +303,20 @@ class TestConvergenceRunner:
         text = table.format()
         assert text.startswith("N,l1_rho")
 
+    def test_errors_are_against_sample_reference(self):
+        """Each error of the table is its run's L1 error against
+        ``sample_reference`` at t_end, every field of it (eps included)."""
+        problem, n_reference = uh.sedov(), 40
+        cfg = uh.RunConfig(problem=problem, method="sgh")
+        table = uh.run_convergence(cfg, [20, 30], n_reference=n_reference)
+        for n, errs in table.rows:
+            result = uh.run(replace(cfg, n_cells=n))
+            mesh, state = result.mesh, result.state
+            ref = uh.sample_reference(problem, mesh.cell_centers, problem.t_end, n_reference)
+            num = {"rho": state.rho, "u": state.cell_u, "p": state.p, "eps": state.eps}
+            assert errs == {f: uh.diagnostics.l1_error(num[f], ref[f], mesh.cell_volumes)
+                            for f in cli.FIELDS}
+
     def test_single_entry_has_no_order(self):
         cfg = uh.RunConfig(problem="sod", method="cch")
         table = uh.run_convergence(cfg, [30])
@@ -389,6 +403,7 @@ class TestCommandLine:
         ("run", "--t-end", "inf", "t_end"),
         ("converge", "--cells", "a,b", "'a,b'"),
         ("converge", "--cells", ",", "--cells"),
+        ("converge", "--t-end", "5", "t_end"),
         ("run", "--snapshots", "0.1,nan", "snapshot_times"),
         ("run", "--snapshots", "5,-1", "snapshot_times"),
         ("run", "--snapshots", "0.1,0.1000000001", "snapshot_times"),
@@ -432,10 +447,13 @@ class TestCommandLine:
         (lambda spec: spec.update(name=5), "name"),
         (lambda spec: spec.update(name="x\nstatus=failure"), "name"),
         (lambda spec: spec.update(name="a=b"), "name"),
+        (lambda spec: spec.update(regions=[dict(spec["regions"][0], x_hi=0.7),
+                                           dict(spec["regions"][0], x_lo=0.7, x_hi=0.5, rho=2.0),
+                                           spec["regions"][1]]), "nonempty interval"),
     ], ids=["unknown_region_key", "gamma_one", "negative_density", "negative_density_expr",
             "kinetic_energy_overflow", "negative_center_energy", "nan_center_energy",
             "name_with_slash", "name_escaping_out", "empty_name", "name_not_a_string",
-            "name_forging_summary_line", "name_with_key_separator"])
+            "name_forging_summary_line", "name_with_key_separator", "reversed_region"])
     def test_bad_spec_file_is_config_error(self, tmp_path, capsys, edit, named):
         spec = uh.sod().to_dict()
         edit(spec)
@@ -445,6 +463,28 @@ class TestCommandLine:
             argv = ["run", "--problem", f"@{path}", "--cells", "10", "--method", method]
             assert cli.main(argv) == 3
             assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["converge", "reference"])
+    @pytest.mark.parametrize("regions", [
+        [{"x_lo": 0.0, "x_hi": 0.3, "rho": 1.0, "u": 0.0, "p": 1.0},
+         {"x_lo": 0.3, "x_hi": 0.5, "rho": 0.5, "u": 0.0, "p": 0.5},
+         {"x_lo": 0.5, "x_hi": 1.0, "rho": 0.125, "u": 0.0, "p": 0.1}],
+        [{"x_lo": 0.0, "x_hi": 0.5, "rho": 1.0, "u": 0.0, "p": 1.0, "rho_expr": "1 + 0.5*x"},
+         {"x_lo": 0.5, "x_hi": 1.0, "rho": 0.125, "u": 0.0, "p": 0.1}],
+    ], ids=["three_regions", "density_expression"])
+    def test_spec_without_exact_fan_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                     command, regions):
+        """An exact_riemann spec that is not two regions of constant density has
+        no exact fan: both commands exit 3 before a run starts."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(uh.sod().to_dict(), regions=regions)), encoding="utf-8")
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a run started"))
+        required = {"reference": ["--t", "0.1", "--points", "5", "--out",
+                                  str(tmp_path / "ref.csv")],
+                    "converge": ["--cells", "10"]}[command]
+        assert cli.main([command, "--problem", f"@{path}", *required]) == 3
+        assert "exact_riemann reference" in capsys.readouterr().err
+        assert not (tmp_path / "ref.csv").exists()
 
     @pytest.mark.parametrize("command", ["run", "reference"])
     def test_deeply_nested_spec_file_is_config_error(self, tmp_path, capsys, command):
