@@ -206,6 +206,14 @@ def _make_out_dir(path: str | None):
         raise ConfigError(f"--out: cannot make directory {path!r}: {exc.strerror}") from exc
 
 
+def _open_output(path: str):
+    """``path`` opened to write text; one that cannot be written is a ConfigError."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {path!r}: {exc.strerror}") from exc
+
+
 def _run_stem(config: RunConfig, problem: ProblemSpec) -> str:
     return f"{problem.name}_{config.method}_N{config.n_cells}"
 
@@ -214,11 +222,11 @@ def _write_outputs(config: RunConfig, problem: ProblemSpec, mesh, state, tag="")
     stem = os.path.join(config.out, _run_stem(config, problem) + tag)
     u_cell = state.cell_u
     e_total = state.E if isinstance(state, CchState) else state.eps + 0.5 * u_cell ** 2
-    with open(stem + ".csv", "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(stem + ".csv") as fh:
         fh.write("x,rho,u,p,eps,e_total\n")
         _write_rows(fh, (mesh.cell_centers, state.rho, u_cell, state.p, state.eps, e_total))
     if isinstance(state, SghState):
-        with open(stem + ".nodes", "w", encoding="utf-8", newline="\n") as fh:
+        with _open_output(stem + ".nodes") as fh:
             fh.write("x,u\n")
             _write_rows(fh, (mesh.node_x, state.node_u))
 
@@ -276,7 +284,7 @@ def _write_summary(config: RunConfig, result: RunResult):
         "entropy_violations": result.monitor.violations,
         "audit_violations": len(led.violations),
     }
-    with open(stem + ".summary", "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(stem + ".summary") as fh:
         for k, v in lines.items():
             fh.write(f"{k}={v}\n")
 
@@ -314,7 +322,7 @@ def run_convergence(config: RunConfig, n_list, n_reference: int = 3200) -> Conve
         raise ConfigError(str(exc)) from exc
 
     for n in n_list:
-        cfg = replace(config, n_cells=int(n), out=None)
+        cfg = replace(config, problem=problem, n_cells=int(n), out=None)
         try:
             result = run(cfg)
         except SolverFailure as failure:
@@ -459,11 +467,7 @@ def _write_reference(args):
         ref = problems_mod.sample_reference(problem, x, args.t)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    try:
-        fh = open(args.out, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise ConfigError(f"--out: cannot write {args.out!r}: {exc.strerror}") from exc
-    with fh:
+    with _open_output(args.out) as fh:
         fh.write("x,rho,u,p,eps\n")
         _write_rows(fh, (x, ref["rho"], ref["u"], ref["p"], ref["eps"]))
 
@@ -493,7 +497,7 @@ def main(argv=None) -> int:
             if config.out:
                 path = os.path.join(config.out,
                                     f"{table.problem}_{table.method}_convergence.csv")
-                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                with _open_output(path) as fh:
                     fh.write(text)
             return 0
         _write_reference(args)

@@ -17,7 +17,7 @@ from .mesh import Mesh1D, _least, _sum
 
 __all__ = [
     "BoundaryFlux", "ConservationLedger", "EntropyMonitor",
-    "totals", "audit_step",
+    "audit_step",
     "entropy_production_sgh", "entropy_production_cch",
     "l1_error", "convergence_order",
 ]
@@ -36,23 +36,6 @@ class BoundaryFlux:
     work_right: float = 0.0
 
 
-def totals(mesh: Mesh1D, state, work=(None, None)) -> tuple[float, float, float]:
-    """(mass, momentum, total energy) of a state on its mesh; the products go
-    into ``work``, a (cells, nodes) pair of buffers of N and N + 1 floats."""
-    return (float(_sum(mesh.cell_mass)), state.total_momentum(mesh, work),
-            state.total_energy(mesh, work))
-
-
-# Each residual rule once, for the properties and the per-step fold alike.
-def _residual(now: float, start: float, left: float, right: float) -> float:
-    """The drift of a total less what the two boundaries put in."""
-    return (now - start) - (left + right)
-
-
-def _relative(residual: float, scale: float) -> float:
-    return abs(residual) / max(scale, 1e-300)
-
-
 @dataclass
 class ConservationLedger:
     mass0: float
@@ -69,28 +52,35 @@ class ConservationLedger:
     energy_scale: float = 0.0
     steps: int = 0
     violations: list = field(default_factory=list)
+    # the relative momentum and energy residuals, set by each fold
+    momentum_residual_rel: float = field(default=0.0, init=False)
+    energy_residual_rel: float = field(default=0.0, init=False)
     work: tuple = field(default=(None, None), repr=False, compare=False)   # totals' products
     cell_mass: np.ndarray = field(default=None, repr=False, compare=False)  # mass0's array
 
     @classmethod
     def open(cls, mesh: Mesh1D, state) -> "ConservationLedger":
         work = (np.empty(mesh.n_cells), np.empty(mesh.n_cells + 1))
-        m, p, e = totals(mesh, state, work)
+        m = float(_sum(mesh.cell_mass))
+        p, e = state.total_momentum(mesh, work), state.total_energy(mesh, work)
         ledger = cls(mass0=m, momentum0=p, energy0=e, mass=m, momentum=p, energy=e,
                      work=work, cell_mass=mesh.cell_mass)
         ledger._fold(state.max_speed)
         return ledger
 
-    def _fold(self, max_speed: float) -> tuple[float, float]:
-        """Raise the scales to the current totals and fluxes; the relative
-        momentum and energy residuals against them."""
+    def _fold(self, max_speed: float):
+        """Raise the scales to the current totals and fluxes, and set the
+        relative momentum and energy residuals against them: the drift of a
+        total less what the two boundaries put in, over the scale."""
         il, ir, wl, wr = self.impulse_left, self.impulse_right, self.work_left, self.work_right
         momentum_scale = self.momentum_scale = max(
             self.momentum_scale, self.mass * max_speed, abs(il) + abs(ir))
         energy_scale = self.energy_scale = max(
             self.energy_scale, abs(self.energy), abs(wl) + abs(wr))
-        return (_relative(_residual(self.momentum, self.momentum0, il, ir), momentum_scale),
-                _relative(_residual(self.energy, self.energy0, wl, wr), energy_scale))
+        self.momentum_residual_rel = (abs((self.momentum - self.momentum0) - (il + ir))
+                                      / max(momentum_scale, 1e-300))
+        self.energy_residual_rel = (abs((self.energy - self.energy0) - (wl + wr))
+                                    / max(energy_scale, 1e-300))
 
     # -- residuals ----------------------------------------------------------
 
@@ -105,22 +95,6 @@ class ConservationLedger:
     @property
     def boundary_work(self) -> float:
         return self.work_left + self.work_right
-
-    @property
-    def momentum_residual(self) -> float:
-        return _residual(self.momentum, self.momentum0, self.impulse_left, self.impulse_right)
-
-    @property
-    def energy_residual(self) -> float:
-        return _residual(self.energy, self.energy0, self.work_left, self.work_right)
-
-    @property
-    def momentum_residual_rel(self) -> float:
-        return _relative(self.momentum_residual, self.momentum_scale)
-
-    @property
-    def energy_residual_rel(self) -> float:
-        return _relative(self.energy_residual, self.energy_scale)
 
 
 def audit_step(ledger: ConservationLedger, mesh: Mesh1D, state,
@@ -142,15 +116,15 @@ def audit_step(ledger: ConservationLedger, mesh: Mesh1D, state,
     ledger.momentum = state.total_momentum(mesh, ledger.work)
     ledger.energy = state.total_energy(mesh, ledger.work)
     ledger.steps += 1
-    momentum_rel, energy_rel = ledger._fold(state.max_speed)
+    ledger._fold(state.max_speed)
     mass_drift = mass - ledger.mass0
-    if (mass_drift != 0.0 or momentum_rel > CONSERVATION_TOL
-            or energy_rel > CONSERVATION_TOL):
+    if (mass_drift != 0.0 or ledger.momentum_residual_rel > CONSERVATION_TOL
+            or ledger.energy_residual_rel > CONSERVATION_TOL):
         ledger.violations.append({
             "step": ledger.steps,
             "mass_drift": mass_drift,
-            "momentum_residual_rel": momentum_rel,
-            "energy_residual_rel": energy_rel,
+            "momentum_residual_rel": ledger.momentum_residual_rel,
+            "energy_residual_rel": ledger.energy_residual_rel,
         })
     return ledger
 

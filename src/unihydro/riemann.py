@@ -29,23 +29,21 @@ class PrimitiveState:
         return np.sqrt(gamma * self.p / self.rho)
 
 
-def _f_side(p, state: PrimitiveState, c, gamma):
-    """Velocity change across the wave connecting ``state`` to pressure p."""
+_TOL = 1e-12      # Newton stops at this relative pressure change
+_MAX_ITER = 100
+
+
+def _wave(p, state: PrimitiveState, c, gamma):
+    """Velocity change f across the wave connecting ``state`` to pressure p,
+    and its derivative df/dp, in one routine like PREFUN in Toro, *Riemann
+    Solvers and Numerical Methods for Fluid Dynamics*, 3rd ed., section 4.9."""
     if p > state.p:  # shock
         a = 2.0 / ((gamma + 1.0) * state.rho)
         b = (gamma - 1.0) / (gamma + 1.0) * state.p
-        return (p - state.p) * np.sqrt(a / (p + b))
-    # rarefaction
-    return (2.0 * c / (gamma - 1.0)) * ((p / state.p) ** ((gamma - 1.0) / (2.0 * gamma)) - 1.0)
-
-
-def _df_side(p, state: PrimitiveState, c, gamma):
-    if p > state.p:
-        a = 2.0 / ((gamma + 1.0) * state.rho)
-        b = (gamma - 1.0) / (gamma + 1.0) * state.p
         root = np.sqrt(a / (p + b))
-        return root * (1.0 - 0.5 * (p - state.p) / (p + b))
-    return (p / state.p) ** (-(gamma + 1.0) / (2.0 * gamma)) / (state.rho * c)
+        return (p - state.p) * root, root * (1.0 - 0.5 * (p - state.p) / (p + b))
+    return ((2.0 * c / (gamma - 1.0)) * ((p / state.p) ** ((gamma - 1.0) / (2.0 * gamma)) - 1.0),
+            (p / state.p) ** (-(gamma + 1.0) / (2.0 * gamma)) / (state.rho * c))
 
 
 def _two_rarefaction_guess(left, right, cl, cr, gamma):
@@ -66,7 +64,6 @@ class RiemannSolution:
     u_star: float
     vacuum: bool
     residual: float
-    iterations: int
 
     def __iter__(self):
         # allows: p_star, u_star = solution
@@ -80,26 +77,24 @@ class RiemannSolution:
         rho = np.empty_like(xi)
         u = np.empty_like(xi)
         p = np.empty_like(xi)
-        for i, s in enumerate(xi):
-            rho[i], u[i], p[i] = self._sample_one(float(s))
-        return rho, u, p
-
-    def _sample_one(self, s: float):
-        g = self.gamma
+        g, vacuum = self.gamma, self.vacuum
         left, right = self.left, self.right
         cl = left.sound_speed(g)
         cr = right.sound_speed(g)
         split, tail_l, tail_r = self.u_star, None, None
-        if self.vacuum:
+        if vacuum:
             # each side is a rarefaction to p = 0 whose tail is its vacuum front
             tail_l = left.u + 2.0 * cl / (g - 1.0)
             tail_r = right.u - 2.0 * cr / (g - 1.0)
-            if tail_l <= s <= tail_r:
-                return 0.0, 0.5 * (tail_l + tail_r), 0.0
-            split = tail_l
-        if s < split:
-            return self._sample_side(s, left, cl, +1.0, tail_l)
-        return self._sample_side(s, right, cr, -1.0, tail_r)
+            split, u_gap = tail_l, 0.5 * (tail_l + tail_r)
+        for i, s in enumerate(xi.tolist()):
+            if s < split:
+                rho[i], u[i], p[i] = self._sample_side(s, left, cl, +1.0, tail_l)
+            elif vacuum and s <= tail_r:
+                rho[i], u[i], p[i] = 0.0, u_gap, 0.0
+            else:
+                rho[i], u[i], p[i] = self._sample_side(s, right, cr, -1.0, tail_r)
+        return rho, u, p
 
     def _sample_side(self, s, state, c, sign, tail=None):
         """Sample left (sign=+1) or right (sign=-1) of the contact.
@@ -136,12 +131,11 @@ class RiemannSolution:
         return rho_f, sign * uf, p_f
 
 
-def solve(left: PrimitiveState, right: PrimitiveState, gamma: float,
-          tol: float = 1e-12, max_iter: int = 100) -> RiemannSolution:
+def solve(left: PrimitiveState, right: PrimitiveState, gamma: float) -> RiemannSolution:
     """Exact star state of the Riemann problem (left | right).
 
     Raises RuntimeError with the residual if Newton fails to converge within
-    ``max_iter`` iterations.
+    ``_MAX_ITER`` iterations.
     """
     cl = left.sound_speed(gamma)
     cr = right.sound_speed(gamma)
@@ -149,30 +143,27 @@ def solve(left: PrimitiveState, right: PrimitiveState, gamma: float,
     # vacuum generation: the two rarefactions separate completely
     if 2.0 * (cl + cr) / (gamma - 1.0) <= right.u - left.u:
         return RiemannSolution(left, right, gamma, p_star=0.0,
-                               u_star=0.5 * (left.u + right.u), vacuum=True,
-                               residual=0.0, iterations=0)
+                               u_star=0.5 * (left.u + right.u), vacuum=True, residual=0.0)
 
     du = right.u - left.u
     p = max(_two_rarefaction_guess(left, right, cl, cr, gamma), 1e-300)
-    converged = False
-    for it in range(1, max_iter + 1):
-        f = _f_side(p, left, cl, gamma) + _f_side(p, right, cr, gamma) + du
-        df = _df_side(p, left, cl, gamma) + _df_side(p, right, cr, gamma)
-        step = f / df
-        p_new = p - step
+    change = float("inf")
+    # each pass evaluates both waves at p once: the last pass's f give the
+    # residual and u* at the converged p
+    for _ in range(_MAX_ITER + 1):
+        (fl, dfl), (fr, dfr) = _wave(p, left, cl, gamma), _wave(p, right, cr, gamma)
+        f = fl + fr + du
+        if change < _TOL:
+            break
+        p_new = p - f / (dfl + dfr)
         if p_new <= 0.0:
             p_new = 0.5 * p  # keep the iterate positive
         change = abs(p_new - p) / max(p_new, 1e-300)
         p = p_new
-        if change < max(tol, 1e-15):
-            converged = True
-            break
-    f = _f_side(p, left, cl, gamma) + _f_side(p, right, cr, gamma) + du
-    if not converged:
+    else:
         raise RuntimeError(
-            f"Riemann pressure iteration failed after {max_iter} iterations, "
+            f"Riemann pressure iteration failed after {_MAX_ITER} iterations, "
             f"residual {abs(f):.3e}")
-    u_star = 0.5 * (left.u + right.u) + 0.5 * (
-        _f_side(p, right, cr, gamma) - _f_side(p, left, cl, gamma))
+    u_star = 0.5 * (left.u + right.u) + 0.5 * (fr - fl)
     return RiemannSolution(left, right, gamma, p_star=float(p), u_star=float(u_star),
-                           vacuum=False, residual=float(abs(f)), iterations=it)
+                           vacuum=False, residual=float(abs(f)))

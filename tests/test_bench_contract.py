@@ -12,14 +12,19 @@ import os
 import numpy as np
 import pytest
 
-TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracer_targets():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TARGETS
+    return _bench_module("tracer").TARGETS
 
 
 @pytest.mark.parametrize("module, attr", _tracer_targets())
@@ -115,3 +120,24 @@ def test_snapshot_write_arguments(monkeypatch, tmp_path):
     assert len(args) == 4 and kwargs == {"tag": "_t0.1"}
     stem = os.path.join(config.out, cli._run_stem(config, args[1]) + kwargs["tag"])
     assert os.path.getsize(stem + ".csv") > 0 and os.path.getsize(stem + ".nodes") > 0
+
+
+@pytest.mark.parametrize("method, option", [
+    ("sgh", {}), ("cch", {}), ("cch", {"cch_solver": "acoustic"}),
+], ids=["sgh", "cch-quadratic", "cch-acoustic"])
+def test_correctness_gate_reads_the_run(method, option):
+    """``bench/checks.py::run_problems`` reads ``mass_drift``, both relative
+    residuals, ``monitor.violations`` and ``vars(result.state)``: a finished run
+    passes it, and a ledger that audited a changed mass fails it by its drift."""
+    import unihydro as uh
+    from unihydro import diagnostics as diag
+
+    run_problems = _bench_module("checks").run_problems
+    result = uh.run(uh.RunConfig(problem="sod", method=method, n_cells=20, **option))
+    assert run_problems(result) == []
+
+    mesh = result.mesh
+    heavier = uh.Mesh1D(mesh.node_x, mesh.cell_mass * 1.5, mesh.node_mass)
+    diag.audit_step(result.ledger, heavier, result.state, diag.BoundaryFlux())
+    found = run_problems(result)
+    assert found and found[0] == f"mass drift {result.ledger.mass_drift:.3e}"

@@ -317,6 +317,22 @@ class TestConvergenceRunner:
             assert errs == {f: uh.diagnostics.l1_error(num[f], ref[f], mesh.cell_volumes)
                             for f in cli.FIELDS}
 
+    def test_spec_file_is_read_once(self, tmp_path, monkeypatch):
+        """The study resolves ``@spec.json`` once and hands every run the spec,
+        so all resolutions and the reference come from one read."""
+        path = tmp_path / "spec.json"
+        path.write_text(uh.sedov().to_json(), encoding="utf-8")
+        inner, reads = uh.ProblemSpec.from_json, []
+
+        def counting(text):
+            reads.append(text)
+            return inner(text)
+
+        monkeypatch.setattr(uh.ProblemSpec, "from_json", counting)
+        cfg = uh.RunConfig(problem=f"@{path}", method="sgh")
+        uh.run_convergence(cfg, [10, 20, 30], n_reference=20)
+        assert len(reads) == 1
+
     def test_single_entry_has_no_order(self):
         cfg = uh.RunConfig(problem="sod", method="cch")
         table = uh.run_convergence(cfg, [30])
@@ -494,6 +510,19 @@ class TestCommandLine:
                     if command == "reference" else [])
         assert cli.main([command, "--problem", f"@{path}", *required]) == 3
         assert "recursion" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, blocked", [
+        (["run", "--cells", "10"], "sod_sgh_N10.csv"),
+        (["run", "--cells", "10", "--snapshots", "0.1"], "sod_sgh_N10_t0.1.csv"),
+        (["converge", "--cells", "10"], "sod_sgh_convergence.csv"),
+    ], ids=["final_profile", "snapshot", "convergence_table"])
+    def test_unwritable_output_file_is_config_error(self, tmp_path, capsys, argv, blocked):
+        """An output file under ``--out`` that is a directory exits 3 and names
+        ``--out``, not an IsADirectoryError traceback."""
+        (tmp_path / blocked).mkdir()
+        assert cli.main([*argv, "--problem", "sod", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "--out" in err and blocked in err
 
     def test_solver_failure_exit_code(self, capsys):
         code = cli.main(["run", "--problem", "sedov", "--method", "cch",

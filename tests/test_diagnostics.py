@@ -102,6 +102,38 @@ class TestLedger:
         assert ledger.violations[-1]["mass_drift"] == ledger.mass_drift != 0.0
 
 
+def recomputed_residuals(led):
+    """The relative residuals by their rule, from the ledger's totals, fluxes
+    and scales: the drift of a total less the boundaries' share, over the scale."""
+    momentum = (led.momentum - led.momentum0) - (led.impulse_left + led.impulse_right)
+    energy = (led.energy - led.energy0) - (led.work_left + led.work_right)
+    return (abs(momentum) / max(led.momentum_scale, 1e-300),
+            abs(energy) / max(led.energy_scale, 1e-300))
+
+
+@pytest.mark.parametrize("method", ["sgh", "cch"])
+@pytest.mark.parametrize("problem", [walled_collision_problem(), uh.sedov()],
+                         ids=["walled_collision", "sedov"])
+def test_stored_residuals_stay_current(monkeypatch, problem, method):
+    """After ``open`` and after every ``audit_step`` of a run, the stored
+    relative residuals equal the rule recomputed from the ledger."""
+    opened, audited, seen = diag.ConservationLedger.open, diag.audit_step, []
+
+    def check(ledger):
+        stored = (ledger.momentum_residual_rel, ledger.energy_residual_rel)
+        assert stored == recomputed_residuals(ledger)
+        seen.append(stored)
+        return ledger
+
+    monkeypatch.setattr(diag.ConservationLedger, "open",
+                        classmethod(lambda cls, mesh, state: check(opened(mesh, state))))
+    monkeypatch.setattr(diag, "audit_step", lambda *args: check(audited(*args)))
+    result = uh.run(uh.RunConfig(problem=problem, method=method, n_cells=30))
+    assert len(seen) == result.steps + 1
+    assert seen[-1] == (result.ledger.momentum_residual_rel, result.ledger.energy_residual_rel)
+    assert any(m > 0.0 for m, _ in seen) and any(e > 0.0 for _, e in seen)
+
+
 class TestEntropyProduction:
     def test_sgh_expansion_exactly_zero(self):
         # star pressure equals cell pressure for nonnegative divergence
