@@ -118,8 +118,8 @@ def audit_step(ledger: ConservationLedger, mesh: Mesh1D, state,
     ledger.steps += 1
     ledger._fold(state.max_speed)
     mass_drift = mass - ledger.mass0
-    if (mass_drift != 0.0 or ledger.momentum_residual_rel > CONSERVATION_TOL
-            or ledger.energy_residual_rel > CONSERVATION_TOL):
+    if (mass_drift != 0.0 or not ledger.momentum_residual_rel <= CONSERVATION_TOL
+            or not ledger.energy_residual_rel <= CONSERVATION_TOL):   # NaN is a violation
         ledger.violations.append({
             "step": ledger.steps,
             "mass_drift": mass_drift,

@@ -69,13 +69,6 @@ class Mesh1D:
     def cell_centers(self) -> np.ndarray:
         return 0.5 * (self.node_x[:-1] + self.node_x[1:])
 
-    def validate(self):
-        if np.any(np.diff(self.node_x) <= 0.0):
-            raise MeshTangled("tangled mesh: node ordering violated")
-        for name in ("cell_mass", "node_mass"):
-            if np.any(getattr(self, name) <= 0.0):
-                raise ValueError(f"{name} must be strictly positive")
-
     @classmethod
     def from_nodes(cls, node_x, cell_rho=1.0) -> "Mesh1D":
         """Mesh with masses computed from a per-cell density (scalar or array)."""

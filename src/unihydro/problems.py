@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -166,8 +166,8 @@ class ProblemSpec:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if not 1.0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and > 1, got {self.gamma}")
-        if not (self.center_energy is None or 0.0 <= self.center_energy < np.inf):
-            raise ValueError(f"center_energy must be finite and >= 0, got {self.center_energy}")
+        if not (self.center_energy is None or 0.0 < self.center_energy < np.inf):
+            raise ValueError(f"center_energy must be finite and > 0, got {self.center_energy}")
         if self.reference not in ("exact_riemann", "self_converged"):
             raise ValueError(f"unknown reference kind {self.reference!r}")
         lo, hi = self.domain
@@ -213,32 +213,16 @@ class ProblemSpec:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "domain": list(self.domain),
-            "t_end": self.t_end,
-            "gamma": self.gamma,
-            "regions": [{k: v for k, v in vars(r).items() if v is not None}
-                        for r in self.regions],
-            "bc_left": {"kind": self.bc_left.kind, "value": self.bc_left.value},
-            "bc_right": {"kind": self.bc_right.kind, "value": self.bc_right.value},
-            "reference": self.reference,
-            "center_energy": self.center_energy,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemSpec":
-        return cls(
-            name=d["name"],
-            domain=tuple(d["domain"]),
-            t_end=d["t_end"],
-            gamma=d["gamma"],
-            regions=tuple(Region(**r) for r in d["regions"]),
-            bc_left=BoundaryCondition(**d["bc_left"]),
-            bc_right=BoundaryCondition(**d["bc_right"]),
-            reference=d["reference"],
-            center_energy=d.get("center_energy"),
-        )
+        """The spec a ``to_dict`` mapping describes; a key that names no field,
+        at any level, is a TypeError."""
+        return cls(**{**d, "domain": tuple(d["domain"]),
+                      "regions": tuple(Region(**r) for r in d["regions"]),
+                      "bc_left": BoundaryCondition(**d["bc_left"]),
+                      "bc_right": BoundaryCondition(**d["bc_right"])})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -367,7 +351,11 @@ def build_initial(problem: ProblemSpec, n_cells: int, method: str):
     if np.any(p < 0.0):
         raise ValueError("initial pressure must be nonnegative")
     grid = Mesh1D.from_nodes(node_x, rho)
-    grid.validate()
+    for name, q in (("node ordering: cell width", grid.cell_volumes),
+                    ("cell_mass", grid.cell_mass), ("node_mass", grid.node_mass)):
+        if not np.all(q > 0.0):   # a domain too narrow for n_cells, or a mass underflow
+            raise ValueError(f"{name} must be strictly positive, got {np.min(q):g} "
+                             f"with {n_cells} cells on the domain {problem.domain}")
 
     gas = IdealGas(problem.gamma)
     eps = gas.internal_energy(rho, p)
@@ -417,9 +405,10 @@ def reference(problem: ProblemSpec, t: float, n_reference: int = 3200):
     if not 0.0 <= t <= problem.t_end * (1.0 + 1e-12):
         raise ValueError(f"reference time t={t} outside [0, t_end={problem.t_end}]")
     if problem.reference == "exact_riemann" and (
-            len(problem.regions) != 2 or any(r.rho_expr for r in problem.regions)):
+            len(problem.regions) != 2 or any(r.rho_expr for r in problem.regions)
+            or problem.center_energy is not None):
         raise ValueError(f"{problem.name}: an exact_riemann reference needs two regions "
-                         f"of constant density")
+                         f"of constant density and no center_energy")
     if problem.reference == "self_converged" and t > 0.0:
         centers, fields = _self_reference_run(problem, t, n_reference)
         return lambda x: {f: np.interp(x, centers, v) for f, v in fields.items()}

@@ -128,13 +128,20 @@ def test_snapshot_write_arguments(monkeypatch, tmp_path):
 def test_correctness_gate_reads_the_run(method, option):
     """``bench/checks.py::run_problems`` reads ``mass_drift``, both relative
     residuals, ``monitor.violations`` and ``vars(result.state)``: a finished run
-    passes it, and a ledger that audited a changed mass fails it by its drift."""
+    passes it, a ledger that audited an overflowing total fails it and the audit
+    alike, and one that audited a changed mass fails it by its drift."""
     import unihydro as uh
     from unihydro import diagnostics as diag
 
     run_problems = _bench_module("checks").run_problems
     result = uh.run(uh.RunConfig(problem="sod", method=method, n_cells=20, **option))
     assert run_problems(result) == []
+
+    # boundary work whose total overflows: a NaN energy residual fails both
+    diag.audit_step(result.ledger, result.mesh, result.state,
+                    diag.BoundaryFlux(work_left=1e308, work_right=1e308))
+    assert run_problems(result) == ["energy residual nan"]
+    assert result.ledger.violations
 
     mesh = result.mesh
     heavier = uh.Mesh1D(mesh.node_x, mesh.cell_mass * 1.5, mesh.node_mass)

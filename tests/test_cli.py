@@ -457,6 +457,8 @@ class TestCommandLine:
         (lambda spec: spec["regions"][0].update(u=1e200), "region u"),
         (lambda spec: spec.update(center_energy=-5.0), "center_energy"),
         (lambda spec: spec.update(center_energy=float("nan")), "center_energy"),
+        (lambda spec: spec.update(center_energy=0.0), "center_energy"),
+        (lambda spec: spec.update(center_enrgy=10.0), "center_enrgy"),
         (lambda spec: spec.update(name="a/b"), "name"),
         (lambda spec: spec.update(name="../escaped"), "name"),
         (lambda spec: spec.update(name=""), "name"),
@@ -468,6 +470,7 @@ class TestCommandLine:
                                            spec["regions"][1]]), "nonempty interval"),
     ], ids=["unknown_region_key", "gamma_one", "negative_density", "negative_density_expr",
             "kinetic_energy_overflow", "negative_center_energy", "nan_center_energy",
+            "zero_center_energy", "unknown_top_level_key",
             "name_with_slash", "name_escaping_out", "empty_name", "name_not_a_string",
             "name_forging_summary_line", "name_with_key_separator", "reversed_region"])
     def test_bad_spec_file_is_config_error(self, tmp_path, capsys, edit, named):
@@ -481,19 +484,22 @@ class TestCommandLine:
             assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["converge", "reference"])
-    @pytest.mark.parametrize("regions", [
-        [{"x_lo": 0.0, "x_hi": 0.3, "rho": 1.0, "u": 0.0, "p": 1.0},
-         {"x_lo": 0.3, "x_hi": 0.5, "rho": 0.5, "u": 0.0, "p": 0.5},
-         {"x_lo": 0.5, "x_hi": 1.0, "rho": 0.125, "u": 0.0, "p": 0.1}],
-        [{"x_lo": 0.0, "x_hi": 0.5, "rho": 1.0, "u": 0.0, "p": 1.0, "rho_expr": "1 + 0.5*x"},
-         {"x_lo": 0.5, "x_hi": 1.0, "rho": 0.125, "u": 0.0, "p": 0.1}],
-    ], ids=["three_regions", "density_expression"])
+    @pytest.mark.parametrize("changes", [
+        {"regions": [{"x_lo": 0.0, "x_hi": 0.3, "rho": 1.0, "u": 0.0, "p": 1.0},
+                     {"x_lo": 0.3, "x_hi": 0.5, "rho": 0.5, "u": 0.0, "p": 0.5},
+                     {"x_lo": 0.5, "x_hi": 1.0, "rho": 0.125, "u": 0.0, "p": 0.1}]},
+        {"regions": [{"x_lo": 0.0, "x_hi": 0.5, "rho": 1.0, "u": 0.0, "p": 1.0,
+                      "rho_expr": "1 + 0.5*x"},
+                     {"x_lo": 0.5, "x_hi": 1.0, "rho": 0.125, "u": 0.0, "p": 0.1}]},
+        {"center_energy": 10.0},
+    ], ids=["three_regions", "density_expression", "center_deposit"])
     def test_spec_without_exact_fan_is_config_error(self, tmp_path, capsys, monkeypatch,
-                                                     command, regions):
-        """An exact_riemann spec that is not two regions of constant density has
-        no exact fan: both commands exit 3 before a run starts."""
+                                                     command, changes):
+        """An exact_riemann spec that is not two regions of constant density, or
+        that deposits a center energy, has no exact fan: both commands exit 3
+        before a run starts."""
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(dict(uh.sod().to_dict(), regions=regions)), encoding="utf-8")
+        path.write_text(json.dumps(dict(uh.sod().to_dict(), **changes)), encoding="utf-8")
         monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a run started"))
         required = {"reference": ["--t", "0.1", "--points", "5", "--out",
                                   str(tmp_path / "ref.csv")],
@@ -501,6 +507,20 @@ class TestCommandLine:
         assert cli.main([command, "--problem", f"@{path}", *required]) == 3
         assert "exact_riemann reference" in capsys.readouterr().err
         assert not (tmp_path / "ref.csv").exists()
+
+    @pytest.mark.parametrize("command, cells", [("run", "100"), ("converge", "50,100")])
+    def test_domain_too_narrow_for_the_cells_is_config_error(self, tmp_path, capsys,
+                                                             command, cells):
+        """A domain whose cells round to zero width is bad input, found before the
+        first step: exit 3 naming the cell width, not a mesh-tangling failure."""
+        spec = uh.sod().to_dict()
+        lo, mid, hi = 1.0, 1.0 + 5e-15, 1.0 + 1e-14
+        spec.update(domain=[lo, hi], regions=[dict(spec["regions"][0], x_lo=lo, x_hi=mid),
+                                              dict(spec["regions"][1], x_lo=mid, x_hi=hi)])
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert cli.main([command, "--problem", f"@{path}", "--cells", cells]) == 3
+        assert "cell width must be strictly positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "reference"])
     def test_deeply_nested_spec_file_is_config_error(self, tmp_path, capsys, command):

@@ -101,6 +101,17 @@ class TestLedger:
         assert ledger.mass == float(mesh.cell_mass.sum()) > ledger.mass0
         assert ledger.violations[-1]["mass_drift"] == ledger.mass_drift != 0.0
 
+    @pytest.mark.parametrize("method", ["sgh", "cch"])
+    def test_nan_residual_is_a_violation(self, method):
+        """Boundary work whose total overflows leaves an inf drift over an inf
+        scale: a NaN energy residual, which the audit records as a violation."""
+        mesh, state = uh.build_initial(uh.by_name("sod"), 10, method)
+        ledger = diag.ConservationLedger.open(mesh, state)
+        diag.audit_step(ledger, mesh, state, diag.BoundaryFlux(work_left=1e308, work_right=1e308))
+        assert np.isnan(ledger.energy_residual_rel) and ledger.momentum_residual_rel == 0.0
+        assert len(ledger.violations) == 1
+        assert np.isnan(ledger.violations[0]["energy_residual_rel"])
+
 
 def recomputed_residuals(led):
     """The relative residuals by their rule, from the ledger's totals, fluxes

@@ -61,6 +61,20 @@ EXPR_SPEC = ProblemSpec(
     reference="self_converged", center_energy=5.0)
 
 
+def riemann_array():
+    """64 equal regions of drawn constant states on [0, 1], as the benchmark's
+    Riemann array has."""
+    rng = np.random.default_rng(1)
+    edges = np.linspace(0.0, 1.0, 65)
+    rho, u, p = rng.uniform(0.25, 4.0, 64), rng.uniform(-1.0, 1.0, 64), rng.uniform(0.1, 10.0, 64)
+    return ProblemSpec(
+        name="riemann_array_s1", domain=(0.0, 1.0), t_end=0.01, gamma=1.4,
+        regions=tuple(Region(float(edges[i]), float(edges[i + 1]), rho=float(rho[i]),
+                             u=float(u[i]), p=float(p[i])) for i in range(64)),
+        bc_left=BoundaryCondition.transmissive(), bc_right=BoundaryCondition.transmissive(),
+        reference="exact_riemann")
+
+
 class TestDefinitions:
     def test_sod(self):
         p = uh.sod()
@@ -126,9 +140,9 @@ class TestDefinitions:
         with pytest.raises(ValueError):
             by_name("nosuch")
 
-    @pytest.mark.parametrize("name", uh.PROBLEM_NAMES)
+    @pytest.mark.parametrize("name", [*uh.PROBLEM_NAMES, "riemann_array"])
     def test_serialization_roundtrip(self, name):
-        p = by_name(name)
+        p = riemann_array() if name == "riemann_array" else by_name(name)
         again = ProblemSpec.from_json(p.to_json())
         assert again == p
 
