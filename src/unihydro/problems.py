@@ -60,6 +60,16 @@ def _eval_density(text, x):
         raise ValueError(f"rho_expr {text!r} is not a valid expression: {exc!r}") from None
 
 
+def _reject_bools(obj, owner: str, names):
+    """ValueError naming the first of the number fields ``names`` of a spec
+    dataclass that holds a bool: JSON true/false is an int to Python and would
+    pass every range check as 1 or 0."""
+    for name in names:
+        value = getattr(obj, name)
+        if any(isinstance(v, bool) for v in (value if name == "domain" else (value,))):
+            raise ValueError(f"{owner}{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BoundaryCondition:
     """Boundary treatment: transmissive, wall, or prescribed velocity/pressure."""
@@ -68,11 +78,14 @@ class BoundaryCondition:
     value: float | None = None
 
     def __post_init__(self):
+        _reject_bools(self, "boundary ", ("value",))
         if self.kind not in _BC_KINDS:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
         if self.kind.startswith("prescribed"):
             if self.value is None or not np.isfinite(self.value):
                 raise ValueError(f"{self.kind} needs a finite value")
+        elif self.value is not None:
+            raise ValueError(f"a {self.kind} boundary takes no value, got {self.value!r}")
 
     @property
     def velocity(self) -> float | None:
@@ -112,6 +125,7 @@ class Region:
     rho_expr: str | None = None
 
     def __post_init__(self):
+        _reject_bools(self, "region ", ("x_lo", "x_hi", "rho", "u", "p", "e"))
         if not -np.inf < self.x_lo < self.x_hi < np.inf:
             raise ValueError(f"region [{self.x_lo}, {self.x_hi}) is not a finite, "
                              f"nonempty interval")
@@ -162,6 +176,7 @@ class ProblemSpec:
                 or not self.name.isprintable() or any(ch in self.name for ch in "/\\=")):
             raise ValueError(f"name must be a printable file name without '/', '\\' "
                              f"or '=', got {self.name!r}")
+        _reject_bools(self, "", ("domain", "t_end", "gamma", "center_energy"))
         if not 0.0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if not 1.0 < self.gamma < np.inf:
@@ -396,12 +411,26 @@ def _self_reference_run(problem: ProblemSpec, t: float, n_reference: int):
     return centers, {"rho": s.rho, "u": s.u, "p": s.p, "eps": s.eps}
 
 
+_last_reference = {}   # {key: profiles} of the last reference built; one entry at most
+
+
 def reference(problem: ProblemSpec, t: float, n_reference: int = 3200):
     """The reference at time t in [0, t_end] as a function of positions x that
     returns the profiles {"rho", "u", "p", "eps"}: the initial data at t = 0,
     else the exact fan between an ``exact_riemann`` problem's two regions, else
     each field of the fine run of ``_self_reference_run`` interpolated linearly.
-    The star state or the fine run is made here, once."""
+    The star state or the fine run is made here, once; the last one is kept for
+    a call with the same repr of spec, t and n_reference (``==`` would equate
+    -0.0 and 0.0, and ``to_json`` refuses a numpy int)."""
+    key = repr((problem, t, n_reference))
+    if key not in _last_reference:
+        profiles = _build_reference(problem, t, n_reference)
+        _last_reference.clear()
+        _last_reference[key] = profiles
+    return _last_reference[key]
+
+
+def _build_reference(problem: ProblemSpec, t: float, n_reference: int):
     if not 0.0 <= t <= problem.t_end * (1.0 + 1e-12):
         raise ValueError(f"reference time t={t} outside [0, t_end={problem.t_end}]")
     if problem.reference == "exact_riemann" and (

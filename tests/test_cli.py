@@ -468,11 +468,23 @@ class TestCommandLine:
         (lambda spec: spec.update(regions=[dict(spec["regions"][0], x_hi=0.7),
                                            dict(spec["regions"][0], x_lo=0.7, x_hi=0.5, rho=2.0),
                                            spec["regions"][1]]), "nonempty interval"),
+        (lambda spec: spec.update(bc_left={"kind": "wall", "value": 5.0}),
+         "wall boundary takes no value"),
+        (lambda spec: spec.update(bc_right={"kind": "transmissive", "value": 0.0}),
+         "transmissive boundary takes no value"),
+        (lambda spec: spec.update(t_end=True), "t_end must be a number"),
+        (lambda spec: spec.update(center_energy=True), "center_energy must be a number"),
+        (lambda spec: spec.update(domain=[0.0, True]), "domain must be a number"),
+        (lambda spec: spec["regions"][0].update(rho=True), "region rho must be a number"),
+        (lambda spec: spec.update(bc_left={"kind": "prescribed_velocity", "value": False}),
+         "boundary value must be a number"),
     ], ids=["unknown_region_key", "gamma_one", "negative_density", "negative_density_expr",
             "kinetic_energy_overflow", "negative_center_energy", "nan_center_energy",
             "zero_center_energy", "unknown_top_level_key",
             "name_with_slash", "name_escaping_out", "empty_name", "name_not_a_string",
-            "name_forging_summary_line", "name_with_key_separator", "reversed_region"])
+            "name_forging_summary_line", "name_with_key_separator", "reversed_region",
+            "wall_with_value", "transmissive_with_value", "true_t_end", "true_center_energy",
+            "true_domain_end", "true_region_density", "false_boundary_velocity"])
     def test_bad_spec_file_is_config_error(self, tmp_path, capsys, edit, named):
         spec = uh.sod().to_dict()
         edit(spec)

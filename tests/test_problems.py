@@ -1,9 +1,12 @@
 """Benchmark definitions, initial-state construction, and reference sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import unihydro as uh
+from unihydro import problems
 from unihydro.eos import IdealGas
 from unihydro.mesh import CchState, Mesh1D, SghState
 from unihydro.problems import (PROBLEM_NAMES, BoundaryCondition, ProblemSpec, Region,
@@ -238,6 +241,80 @@ class TestSampleReference:
         x = np.array([3.0, 4.0])
         ref = sample_reference(p, x, 1.8, n_reference=200)
         np.testing.assert_allclose(ref["rho"], 1.0 + 0.2 * np.sin(5.0 * x), atol=5e-3)
+
+
+def recorded_runs(monkeypatch):
+    """(method, n_cells) of every ``cli.run`` call from here on, through a
+    pass-through like the ``converge`` benchmark's."""
+    from unihydro import cli
+
+    inner, calls = cli.run, []
+
+    def recording(config):
+        calls.append((config.method, config.n_cells))
+        return inner(config)
+    monkeypatch.setattr(cli, "run", recording)
+    return calls
+
+
+def converge(name, method, ns):
+    """``run_convergence`` on a built-in problem with an N = 40 reference."""
+    from unihydro import cli
+    return cli.run_convergence(cli.RunConfig(problem=name, method=method), ns, n_reference=40)
+
+
+def request(t=0.2, n_reference=40, region_u=0.0, domain=(0.0, 1.0)):
+    """Arguments of a ``reference`` call: sod with its first region's velocity
+    and its domain replaced."""
+    spec = uh.sod()
+    first = replace(spec.regions[0], u=region_u)
+    return replace(spec, domain=domain, regions=(first, *spec.regions[1:])), t, n_reference
+
+
+class TestReferenceMemo:
+    """``reference`` keeps the last reference it built, for a request with the
+    same spec, t and n_reference."""
+
+    def test_second_study_of_the_same_problem_reuses_the_hidden_run(self, monkeypatch):
+        calls = recorded_runs(monkeypatch)
+        tables = [converge("sedov", method, [20, 30]).format() for method in ("sgh", "cch")]
+        assert calls == [("cch", 40), ("sgh", 20), ("sgh", 30), ("cch", 20), ("cch", 30)]
+        fresh = []
+        for method in ("sgh", "cch"):
+            problems._last_reference.clear()
+            fresh.append(converge("sedov", method, [20, 30]).format())
+        assert tables == fresh
+
+    def test_another_study_in_between_builds_again(self, monkeypatch):
+        calls = recorded_runs(monkeypatch)
+        for name in ("sedov", "lax", "sedov"):
+            converge(name, "sgh", [10, 20])
+        assert calls.count(("cch", 40)) == 2
+
+    @pytest.mark.parametrize("changed", [
+        dict(t=0.1), dict(n_reference=50), dict(region_u=-0.0), dict(domain=[0.0, 1.0]),
+    ], ids=["t", "n_reference", "negative_zero_u", "list_domain"])
+    def test_changed_request_builds_again(self, changed):
+        x = np.linspace(0.0, 1.0, 41)
+        first = problems.reference(*request())
+        second = problems.reference(*request(**changed))
+        assert second is not first
+        problems._last_reference.clear()
+        built = problems.reference(*request(**changed))(x)
+        assert all(built[f].tobytes() == v.tobytes() for f, v in second(x).items())
+        assert problems.reference(*request()) is not first   # one reference kept, no more
+
+    def test_same_request_returns_the_same_reference(self):
+        first = problems.reference(*request())
+        assert problems.reference(*request()) is first
+        spec = replace(uh.sod(), gamma=np.float64(1.4), t_end=np.int64(1))  # numpy fields
+        assert problems.reference(spec, 0.2) is problems.reference(spec, 0.2)
+
+    def test_call_that_raises_keeps_the_last_reference(self):
+        first = problems.reference(*request())
+        with pytest.raises(ValueError, match="t_end"):
+            problems.reference(*request(t=0.3))
+        assert problems.reference(*request()) is first
 
 
 class TestValidation:
