@@ -88,8 +88,8 @@ def _boundary_node(bc: BoundaryCondition, rho, c, p, u, gamma: float,
 
 
 def solve_all_nodes(state: CchState, gas: IdealGas, bc_left: BoundaryCondition,
-                    bc_right: BoundaryCondition, solver: str = "quadratic",
-                    scratch=None) -> NodalField:
+                    bc_right: BoundaryCondition, solver: str = "quadratic", *,
+                    scratch) -> NodalField:
     """Star states at every node: ``closure.solve_nodes`` inside (with its
     ``scratch``), boundary rules at the two ends. The acoustic solver gives one
     pressure per node, so its field holds one array as both sides' pressures."""
@@ -99,8 +99,8 @@ def solve_all_nodes(state: CchState, gas: IdealGas, bc_left: BoundaryCondition,
     inner = psl[1:-1]
     closure.solve_nodes(state.rho[:-1], state.c[:-1], state.p[:-1], state.u[:-1],
                         state.rho[1:], state.c[1:], state.p[1:], state.u[1:], gas.gamma, solver,
-                        (u_star[1:-1], inner, inner if psr is psl else psr[1:-1], order[1:-1]),
-                        scratch)
+                        out=(u_star[1:-1], inner, inner if psr is psl else psr[1:-1],
+                             order[1:-1]), scratch=scratch)
     u_star[0], psl[0], psr[0], order[0] = _boundary_node(
         bc_left, state.rho[0], state.c[0], state.p[0], state.u[0], gas.gamma, solver, "left")
     u_star[-1], psl[-1], psr[-1], order[-1] = _boundary_node(
@@ -114,7 +114,7 @@ def step(state: CchState, mesh: Mesh1D, gas: IdealGas, dt: float,
     """One forward-Euler step of the conservative update; ``floors`` and
     ``workspace`` as in ``sgh.step``."""
     ws = workspace or mesh_mod.Workspace(len(state.rho))
-    nodal = solve_all_nodes(state, gas, bc_left, bc_right, solver, ws.faces)
+    nodal = solve_all_nodes(state, gas, bc_left, bc_right, solver, scratch=ws.faces)
     us, m, (dt_m, t, d_left, d_right) = nodal.u_star, mesh.cell_mass, ws.cells
     psl, psr = nodal.p_star_left, nodal.p_star_right
     # one array is its own mean: 0.5 (x + x) is x

@@ -79,10 +79,9 @@ class RunResult:
     wall_time: float
 
 
-def _cfl_candidate(state, mesh, cfl: float, workspace=None) -> float:
+def _cfl_candidate(state, mesh, cfl: float, workspace) -> float:
     """cfl x min(volume / (c + velocity jump)); the jumps, their sum with c and
-    the ratio go into the buffers of ``workspace`` (a ``mesh.Workspace``) when
-    one is given."""
+    the ratio go into the buffers of ``workspace``, a ``mesh.Workspace``."""
     ratio = state.velocity_jumps(workspace)
     np.add(state.c, ratio, ratio)
     return cfl * float(_least(np.divide(mesh.cell_volumes, ratio, ratio)))
@@ -90,7 +89,7 @@ def _cfl_candidate(state, mesh, cfl: float, workspace=None) -> float:
 
 def compute_dt(state, mesh, cfl: float, dt_prev: float | None,
                dt_max: float, dt_growth: float, time_remaining: float,
-               workspace=None) -> float:
+               workspace) -> float:
     """CFL-limited step, clamped by growth rate, dt_max, and remaining time."""
     dt = _cfl_candidate(state, mesh, cfl, workspace)
     if dt_prev is not None:
@@ -179,7 +178,7 @@ def run(config: RunConfig) -> RunResult:
             t += dt
             steps += 1
             diag.audit_step(ledger, mesh, state, report.boundary)
-            monitor.update(report.entropy_production, lambda: report.entropy_scale)
+            monitor.update(report)
             if snapshots and t >= snapshots[0] * (1.0 - 1e-14):
                 t_snap = snapshots.pop(0)   # the tag is the requested time
                 if config.out:

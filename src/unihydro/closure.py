@@ -47,11 +47,7 @@ def star_pressure(p, z, krho, d, out=None, t=None):
     return np.add(ps, np.multiply(np.multiply(krho, d, t), d, t), out)
 
 
-def _buffers(shape, count: int) -> list:   # the scratch of a call given none
-    return [np.empty(shape) for _ in range(count)]
-
-
-def sgh_star_pressure(rho, c, p, du, gamma: float, scratch=None):
+def sgh_star_pressure(rho, c, p, du, gamma: float, scratch):
     """Star pressure of a cell with velocity jump du across it.
 
     Compression (du < 0) follows the quadratic Taylor series expressed through
@@ -59,7 +55,7 @@ def sgh_star_pressure(rho, c, p, du, gamma: float, scratch=None):
     makes smooth-flow entropy production exactly zero. ``scratch``: two buffers
     of the broadcast shape for the temporaries.
     """
-    z, t = scratch or _buffers(np.broadcast(rho, c, p, du).shape, 2)
+    z, t = scratch
     ps = star_pressure(p, np.multiply(rho, c, z), np.multiply(0.5 * (gamma + 1.0), rho, t),
                        du, z, t)
     return np.where(np.less(du, 0.0), ps, p)
@@ -74,10 +70,10 @@ def _balance_velocity(zl, ul, zr, ur, dp, out, t):
     return np.add(np.multiply(0.5, np.add(ul, ur, t), t), out, out)
 
 
-def _linear_balance(zl, pl, ul, zr, pr, ur, out=None):
+def _linear_balance(zl, pl, ul, zr, pr, ur, out):
     """Impedance-weighted star (velocity, pressure), both exact and symmetric,
     written into the first two of the three buffers ``out``."""
-    u_star, p_star, t = out or _buffers(np.shape(zl), 3)
+    u_star, p_star, t = out
     _balance_velocity(zl, ul, zr, ur, np.subtract(pl, pr, p_star), u_star, t)
     # p* = 0.5 ((pl - zl dl) + (pr + zr dr)), dl = u* - ul, dr = u* - ur
     np.subtract(pl, np.multiply(zl, np.subtract(u_star, ul, t), t), p_star)
@@ -85,25 +81,26 @@ def _linear_balance(zl, pl, ul, zr, pr, ur, out=None):
     return u_star, np.multiply(0.5, p_star, p_star)
 
 
-def _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, out=None):
+def _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, out):
     """Linear nodal solve with the acoustic impedances rho c; ``out``: five buffers."""
-    u_star, p_star, t, zl, zr = out or _buffers(np.shape(rl), 5)
+    u_star, p_star, t, zl, zr = out
     return _linear_balance(np.multiply(rl, cl, zl), pl, ul, np.multiply(rr, cr, zr),
                            pr, ur, (u_star, p_star, t))
 
 
-def _two_shock_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, dl0, dr0):
+def _two_shock_kernel(rl, cl, pl, ul, rr, cr, pr, ur, gamma, dl0, dr0, out):
     """Linear nodal solve with two-shock impedances from the acoustic guess.
 
     A side compressed at the acoustic star velocity u_ac (jump ``dl0`` = u_ac - ul
     or ``dr0`` = ur - u_ac below 0) gets the impedance rho c + k rho |d0|; an
     expanding side keeps rho c. Each side's entropy production w (u*-u)^2 is
     nonnegative; with no compressed side this is bitwise ``_acoustic_kernel``.
+    ``out`` holds three buffers, as for ``_linear_balance``.
     """
     k = 0.5 * (gamma + 1.0)
     wl = rl * cl - k * rl * np.minimum(dl0, 0.0)   # bitwise rho c + k rho max(-d0, 0)
     wr = rr * cr - k * rr * np.minimum(dr0, 0.0)
-    return _linear_balance(wl, pl, ul, wr, pr, ur)
+    return _linear_balance(wl, pl, ul, wr, pr, ur, out)
 
 
 def _admissible(c, d, k, t=None):
@@ -112,8 +109,7 @@ def _admissible(c, d, k, t=None):
     return c >= np.multiply(k, np.abs(d, t), t)
 
 
-def _quadratic_kernel(rl, cl, pl, rr, cr, pr, gamma, u_ac, dl0, dr0, zl, zr, out,
-                      scratch=None):
+def _quadratic_kernel(rl, cl, pl, rr, cr, pr, gamma, u_ac, dl0, dr0, zl, zr, out, scratch):
     """The quadratic force balance for delta = u* - u_ac, with the admissibility
     test, written into ``out`` = (u_star, p_star_left_side, p_star_right_side,
     accepted) and returned. ``dl0``, ``dr0`` are the jumps at u_ac and ``zl``,
@@ -122,7 +118,7 @@ def _quadratic_kernel(rl, cl, pl, rr, cr, pr, gamma, u_ac, dl0, dr0, zl, zr, out
     """
     k = 0.5 * (gamma + 1.0)
     u_star, ps_l, ps_r, accepted = out
-    s0, s1, s2, s3, s4, s5, s6 = scratch or _buffers(np.shape(rl), 7)
+    s0, s1, s2, s3, s4, s5, s6 = scratch
     krl, krr = np.multiply(k, rl, s0), np.multiply(k, rr, s1)
     kdl, kdr = np.multiply(krl, dl0, s2), np.multiply(krr, dr0, s3)
     # A delta^2 + 2 b delta - c = 0: B' = 2 b and C' = -c (with r0) of the module docstring;
@@ -150,23 +146,23 @@ def _quadratic_kernel(rl, cl, pl, rr, cr, pr, gamma, u_ac, dl0, dr0, zl, zr, out
     return out
 
 
-def solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma: float, solver: str = "quadratic",
-                out=None, scratch=None):
+def solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma: float, solver: str = "quadratic", *,
+                out, scratch):
     """Cell-centered nodal solve between left and right cell arrays.
 
     Returns (u_star, p_star_left_side, p_star_right_side, order), order being
-    ACOUSTIC or QUADRATIC per node, in the arrays of ``out`` if given. The acoustic
+    ACOUSTIC or QUADRATIC per node, in the arrays of ``out``. The acoustic
     solver gives the acoustic values, one pressure for both sides (``out`` may hold
     one array for both). The quadratic solver keeps an admissible quadratic root
     and gives the two-shock solve where it is rejected, with one star pressure on
     both sides and order ACOUSTIC.
-    ``scratch`` holds twelve float buffers shaped like ``rl`` for the temporaries.
+    ``scratch`` holds twelve float buffers shaped like ``rl`` for the temporaries;
+    the two-shock solve writes into three of them once the quadratic kernel is done.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown nodal solver {solver!r}; expected one of {SOLVERS}")
-    u_star, ps_l, ps_r, order = out = out or (
-        *_buffers(np.shape(rl), 3), np.empty(np.shape(rl), np.int8))
-    zl, zr, u_ac, dl0, dr0, *kernel_scratch = scratch or _buffers(np.shape(rl), 12)
+    u_star, ps_l, ps_r, order = out
+    zl, zr, u_ac, dl0, dr0, *kernel_scratch = scratch
     if solver == "acoustic":
         _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, (u_star, ps_l, u_ac, zl, zr))
         if ps_r is not ps_l:
@@ -182,6 +178,7 @@ def solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma: float, solver: str = "qua
     if not _least(accepted):
         j = (~accepted).nonzero()[0]
         u_star[j], p_2s = _two_shock_kernel(
-            rl[j], cl[j], pl[j], ul[j], rr[j], cr[j], pr[j], ur[j], gamma, dl0[j], dr0[j])
+            rl[j], cl[j], pl[j], ul[j], rr[j], cr[j], pr[j], ur[j], gamma, dl0[j], dr0[j],
+            [s[:len(j)] for s in kernel_scratch[:3]])
         ps_l[j] = ps_r[j] = p_2s
     return out

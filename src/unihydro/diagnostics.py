@@ -41,6 +41,7 @@ class ConservationLedger:
     mass0: float
     momentum0: float
     energy0: float
+    work: tuple = field(repr=False, compare=False)   # the buffers of the totals' products
     mass: float = 0.0
     momentum: float = 0.0
     energy: float = 0.0
@@ -55,7 +56,6 @@ class ConservationLedger:
     # the relative momentum and energy residuals, set by each fold
     momentum_residual_rel: float = field(default=0.0, init=False)
     energy_residual_rel: float = field(default=0.0, init=False)
-    work: tuple = field(default=(None, None), repr=False, compare=False)   # totals' products
     cell_mass: np.ndarray = field(default=None, repr=False, compare=False)  # mass0's array
 
     @classmethod
@@ -142,7 +142,7 @@ def entropy_production_sgh(p, p_star, du):
     return production
 
 
-def entropy_production_cch(p, d_left, d_right, p_star_right_side, p_star_left_side, t=None):
+def entropy_production_cch(p, d_left, d_right, p_star_right_side, p_star_left_side, t):
     """Per-cell dissipation rate from the two nodal star states and the jumps
     d_left = u - u* at the left node, d_right = u* - u at the right node.
 
@@ -163,12 +163,13 @@ class EntropyMonitor:
         self.worst_normalized = 0.0
         self.violations = 0
 
-    def update(self, production: np.ndarray, scale):
-        """Fold in one step's production against its nonnegative scale: an array,
-        or a function that forms it, called only when some production is negative."""
+    def update(self, report):
+        """Fold in a step report's ``entropy_production`` against its nonnegative
+        ``entropy_scale``, which is read only when some production is negative."""
+        production = report.entropy_production
         if _least(production) >= 0.0:  # no violation and no new worst; NaN falls through
             return
-        scale = np.asarray(scale() if callable(scale) else scale, float)
+        scale = np.asarray(report.entropy_scale, float)
         self.violations += int(np.count_nonzero(production < -ENTROPY_TOL * scale))
         negative = (production < 0.0) & (scale > 0.0)
         worst = float(np.min(production[negative] / scale[negative], initial=0.0))

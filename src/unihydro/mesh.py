@@ -103,20 +103,17 @@ class SghState:
     def max_speed(self) -> float:
         return _largest_magnitude(self.node_u)
 
-    def velocity_jumps(self, workspace=None) -> np.ndarray:
-        """Per-cell velocity variation used to harden the CFL bound; written
-        into the first ``cells`` buffer of ``workspace`` when one is given."""
-        jumps = np.subtract(self.node_u[1:], self.node_u[:-1],
-                            None if workspace is None else workspace.cells[0])
+    def velocity_jumps(self, workspace) -> np.ndarray:
+        """Per-cell velocity variation used to harden the CFL bound, written
+        into the first ``cells`` buffer of ``workspace``."""
+        jumps = np.subtract(self.node_u[1:], self.node_u[:-1], workspace.cells[0])
         return np.abs(jumps, jumps)
 
-    # The totals form their products in ``work``, a (cells, nodes) pair of
-    # buffers of N and N + 1 (None allocates); each sum sees the same values in
-    # the same order either way.
-    def total_momentum(self, mesh: Mesh1D, work=(None, None)) -> float:
+    # The totals form their products in ``work``, buffers of N and N + 1 (cells, nodes).
+    def total_momentum(self, mesh: Mesh1D, work) -> float:
         return float(_sum(np.multiply(mesh.node_mass, self.node_u, work[1])))
 
-    def total_energy(self, mesh: Mesh1D, work=(None, None)) -> float:
+    def total_energy(self, mesh: Mesh1D, work) -> float:
         internal = float(_sum(np.multiply(mesh.cell_mass, self.eps, work[0])))
         kinetic = np.square(self.node_u, work[1])
         return internal + 0.5 * float(_sum(np.multiply(mesh.node_mass, kinetic, kinetic)))
@@ -141,32 +138,28 @@ class CchState:
     def max_speed(self) -> float:
         return _largest_magnitude(self.u)
 
-    def velocity_jumps(self, workspace=None) -> np.ndarray:
-        """Largest velocity jump to either neighbor, per cell; written into the
+    def velocity_jumps(self, workspace) -> np.ndarray:
+        """Largest velocity jump to either neighbor, per cell, written into the
         first ``cells`` buffer of ``workspace`` (the first ``faces`` buffer holds
-        the jumps per face) when one is given."""
-        if workspace is None:
-            d, jumps = np.subtract(self.u[1:], self.u[:-1]), np.empty(len(self.u))
-        else:
-            d = np.subtract(self.u[1:], self.u[:-1], workspace.faces[0])
-            jumps = workspace.cells[0]
+        the jumps per face)."""
+        d, jumps = np.subtract(self.u[1:], self.u[:-1], workspace.faces[0]), workspace.cells[0]
         np.abs(d, d)
         jumps[0], jumps[-1] = d[0], d[-1]
         np.maximum(d[:-1], d[1:], out=jumps[1:-1])
         return jumps
 
-    def total_momentum(self, mesh: Mesh1D, work=(None, None)) -> float:
+    def total_momentum(self, mesh: Mesh1D, work) -> float:
         return float(_sum(np.multiply(mesh.cell_mass, self.u, work[0])))
 
-    def total_energy(self, mesh: Mesh1D, work=(None, None)) -> float:
+    def total_energy(self, mesh: Mesh1D, work) -> float:
         return float(_sum(np.multiply(mesh.cell_mass, self.E, work[0])))
 
 
 class Workspace:
     """The float buffers a run's steps reuse for every temporary: twelve ``faces``
     of N - 1 (the interior nodes), four ``cells`` of N and two ``nodes`` of N + 1.
-    No array a caller can keep (state, mesh, report, nodal fields) lives here, so
-    ``cli.run`` also puts the CFL candidate's temporaries here between steps."""
+    A run's one (``cli.run``'s, or a stepper's given none) is the only scratch of the
+    steppers, the dt rule and all below them; no array a caller keeps lives here."""
 
     def __init__(self, n_cells: int):
         self.faces = [np.empty(n_cells - 1) for _ in range(12)]

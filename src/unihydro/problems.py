@@ -134,7 +134,7 @@ class Region:
         energy = "p" if self.e is None else "e"
         # u: the kinetic energy u^2/2 a cell-centered state carries must be finite
         for name, ok in (("rho", 0.0 < self.rho < np.inf), ("u", 0.5 * self.u * self.u < np.inf),
-                         (energy, 0.0 <= getattr(self, energy) < np.inf)):
+                         (energy, 0.0 < getattr(self, energy) < np.inf)):
             if not ok:
                 raise ValueError(f"region {name} out of range: {getattr(self, name)}")
         if self.rho_expr is not None:
@@ -348,7 +348,8 @@ def build_initial(problem: ProblemSpec, n_cells: int, method: str):
     center deposit set before the one evaluation of pressure and sound speed.
 
     For an even cell count the deposit is split over the two central cells so
-    mirror-symmetric data stays exactly symmetric.
+    mirror-symmetric data stays exactly symmetric. An internal energy, sound speed
+    or (CCH) total energy that overflows or underflows to 0 is a ValueError.
     """
     a, b = float(problem.domain[0]), float(problem.domain[1])
     if n_cells < 2:
@@ -373,15 +374,20 @@ def build_initial(problem: ProblemSpec, n_cells: int, method: str):
                              f"with {n_cells} cells on the domain {problem.domain}")
 
     gas = IdealGas(problem.gamma)
-    eps = gas.internal_energy(rho, p)
-    if problem.center_energy is not None:
-        half = n_cells // 2
-        targets = [half - 1, half] if n_cells % 2 == 0 else [half]
-        eps[targets] = problem.center_energy / len(targets) / grid.cell_mass[targets]
-        p = gas.pressure(rho, eps)
-    c = gas.sound_speed(rho, p)
+    with np.errstate(over="ignore"):   # an overflow is named below
+        eps = gas.internal_energy(rho, p)
+        if problem.center_energy is not None:
+            half = n_cells // 2
+            targets = [half - 1, half] if n_cells % 2 == 0 else [half]
+            eps[targets] = problem.center_energy / len(targets) / grid.cell_mass[targets]
+            p = gas.pressure(rho, eps)
+        c = gas.sound_speed(rho, p)
+        E = eps + 0.5 * u ** 2 if method == "cch" else None   # SGH carries no total energy
+    for name, q in (("internal energy", eps), ("sound speed", c), ("total energy", E)):
+        if q is not None and not np.all((q > 0.0) & (q < np.inf)):
+            raise ValueError(f"initial {name} must be finite and > 0 (an overflow or underflow)")
     if method == "cch":
-        return grid, CchState(rho, u, eps + 0.5 * u ** 2, eps, p, c)
+        return grid, CchState(rho, u, E, eps, p, c)
     node_u = problem.velocity_at_nodes(node_x)
     if not np.all(np.isfinite(node_u)):
         raise ValueError("non-finite initial node velocity")

@@ -4,9 +4,9 @@ Test code, not public API: the exact shock adiabat and isentrope of an ideal
 gas through a reference state, the quadratic Taylor expansion of pressure in
 the specific-volume change that the closure is built on (it touches both
 curves to second order), two measures of a computed profile (where it
-crosses a level and how many prominent peaks it has), and a separate sampler
-of the exact Riemann fan for states that open a vacuum. The package needs
-none of them to run.
+crosses a level and how many prominent peaks it has), a separate sampler
+of the exact Riemann fan for states that open a vacuum, and the buffers of a
+nodal solve. The package needs none of them to run.
 """
 
 from dataclasses import dataclass
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from unihydro.eos import IdealGas
+from unihydro.mesh import Workspace
 
 
 @dataclass(frozen=True)
@@ -150,3 +151,10 @@ def sample_vacuum(solution, s: float):
         return (right.rho * (cf / cr) ** (2.0 / (g - 1.0)), uf,
                 right.p * (cf / cr) ** (2.0 * g / (g - 1.0)))
     return right.rho, right.u, right.p
+
+
+def solve_buffers(n_nodes: int) -> dict:
+    """``out`` and ``scratch`` of ``closure.solve_nodes`` for ``n_nodes`` nodes,
+    from the faces of two fresh ``mesh.Workspace``s: one solve's own buffers."""
+    out = (*Workspace(n_nodes + 1).faces[:3], np.empty(n_nodes, np.int8))
+    return {"out": out, "scratch": Workspace(n_nodes + 1).faces}

@@ -72,7 +72,7 @@ def test_loop_iteration_temporaries_within_budget(method, step, option):
     def iteration(mesh, state, dt):
         mesh, state, report = step(state, mesh, gas, dt, problem.bc_left, problem.bc_right)
         diag.audit_step(ledger, mesh, state, report.boundary)
-        monitor.update(report.entropy_production, lambda: report.entropy_scale)
+        monitor.update(report)
         dt = cli.compute_dt(state, mesh, 0.3, dt, DT, 1.01, 1.0, workspace)
         return mesh, state, report, dt   # the loop holds the report until the next step
 

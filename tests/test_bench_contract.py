@@ -48,6 +48,7 @@ def test_quadratic_kernel_counter_contract(monkeypatch):
     ``closure`` module; ``cch.solve_all_nodes`` must reach the kernel there."""
     from unihydro import cch, closure, problems
     from unihydro.eos import IdealGas
+    from unihydro.mesh import Workspace
 
     kernel = closure._quadratic_kernel
     calls = []
@@ -60,7 +61,8 @@ def test_quadratic_kernel_counter_contract(monkeypatch):
     monkeypatch.setattr(closure, "_quadratic_kernel", recording)
     problem = problems.by_name("sod")
     _, state = problems.build_initial(problem, 10, "cch")
-    cch.solve_all_nodes(state, IdealGas(problem.gamma), problem.bc_left, problem.bc_right)
+    cch.solve_all_nodes(state, IdealGas(problem.gamma), problem.bc_left, problem.bc_right,
+                        scratch=Workspace(10).faces)
     (args, result), = calls
     mask = result[3]
     assert mask.dtype == np.bool_

@@ -9,7 +9,7 @@ from unihydro import cch, closure
 from unihydro.diagnostics import ConservationLedger, audit_step
 from unihydro.eos import IdealGas
 from unihydro.errors import SolverFailure
-from unihydro.mesh import CchState, Mesh1D
+from unihydro.mesh import CchState, Mesh1D, Workspace
 from unihydro.problems import BoundaryCondition
 
 GAS = IdealGas(1.4)
@@ -38,7 +38,8 @@ class TestSolveAllNodes:
     def test_uniform_state(self):
         n = 6
         state = make_state(np.ones(n), np.full(n, 0.3), np.ones(n))
-        nodal = cch.solve_all_nodes(state, GAS, TRANSMISSIVE, TRANSMISSIVE)
+        nodal = cch.solve_all_nodes(state, GAS, TRANSMISSIVE, TRANSMISSIVE,
+                                    scratch=Workspace(len(state.rho)).faces)
         np.testing.assert_allclose(nodal.u_star, 0.3, rtol=1e-13)
         np.testing.assert_allclose(p_star(nodal), 1.0, rtol=1e-13)
         # transmissive boundaries are exact copies of the cell state
@@ -48,7 +49,8 @@ class TestSolveAllNodes:
         # uniform leftward flow against a left wall raises the wall pressure
         n = 4
         state = make_state(np.ones(n), np.full(n, -0.5), np.ones(n))
-        nodal = cch.solve_all_nodes(state, GAS, BoundaryCondition.wall(), TRANSMISSIVE)
+        nodal = cch.solve_all_nodes(state, GAS, BoundaryCondition.wall(), TRANSMISSIVE,
+                                    scratch=Workspace(len(state.rho)).faces)
         assert nodal.u_star[0] == 0.0
         assert p_star(nodal)[0] > state.p[0]
 
@@ -57,7 +59,8 @@ class TestSolveAllNodes:
         # the two-shock relation p + z d + k rho d^2 takes its place
         n = 4
         state = make_state(np.ones(n), np.full(n, -2.0), np.full(n, 1e-4))
-        nodal = cch.solve_all_nodes(state, GAS, BoundaryCondition.wall(), TRANSMISSIVE)
+        nodal = cch.solve_all_nodes(state, GAS, BoundaryCondition.wall(), TRANSMISSIVE,
+                                    scratch=Workspace(len(state.rho)).faces)
         z = state.rho[0] * state.c[0]
         assert nodal.order[0] == closure.ACOUSTIC
         assert p_star(nodal)[0] == pytest.approx(1e-4 + z * 2.0 + 1.2 * 4.0, rel=1e-14)
@@ -65,7 +68,8 @@ class TestSolveAllNodes:
     def test_wall_strong_expansion_stays_linear(self):
         n = 4
         state = make_state(np.ones(n), np.full(n, -2.0), np.full(n, 1e-4))
-        nodal = cch.solve_all_nodes(state, GAS, TRANSMISSIVE, BoundaryCondition.wall())
+        nodal = cch.solve_all_nodes(state, GAS, TRANSMISSIVE, BoundaryCondition.wall(),
+                                    scratch=Workspace(len(state.rho)).faces)
         z = state.rho[-1] * state.c[-1]
         assert nodal.order[-1] == closure.ACOUSTIC
         assert p_star(nodal)[-1] == 1e-4 - z * 2.0
@@ -74,16 +78,17 @@ class TestSolveAllNodes:
         # a strong pressure jump into cold gas: the quadratic root is rejected
         state = make_state([1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0],
                            [6.4e7, 6.4e7, 4e-13, 4e-13])
-        nodal = cch.solve_all_nodes(state, GAS, TRANSMISSIVE, TRANSMISSIVE)
+        nodal = cch.solve_all_nodes(state, GAS, TRANSMISSIVE, TRANSMISSIVE,
+                                    scratch=Workspace(len(state.rho)).faces)
         rejected = np.flatnonzero(nodal.order[1:-1] == closure.ACOUSTIC) + 1
         assert 2 in rejected
         np.testing.assert_array_equal(nodal.p_star_left[rejected],
                                       nodal.p_star_right[rejected])
         args = (state.rho[1], state.c[1], state.p[1], state.u[1],
                 state.rho[2], state.c[2], state.p[2], state.u[2])
-        u_ac, p_ac = closure._acoustic_kernel(*args)
+        u_ac, p_ac = closure._acoustic_kernel(*args, Workspace(2).faces[:5])
         u_2s, p_2s = closure._two_shock_kernel(*args, GAS.gamma, u_ac - args[3],
-                                              args[7] - u_ac)
+                                              args[7] - u_ac, Workspace(2).faces[:3])
         assert nodal.u_star[2] == u_2s and p_star(nodal)[2] == p_2s
         assert p_2s > p_ac
 
@@ -106,7 +111,7 @@ class TestSolveAllNodes:
         n = 4
         state = make_state(np.ones(n), np.full(n, -2.0), np.full(n, 0.4))
         bc = BoundaryCondition.prescribed_velocity(-2.0)
-        nodal = cch.solve_all_nodes(state, GAS, bc, TRANSMISSIVE)
+        nodal = cch.solve_all_nodes(state, GAS, bc, TRANSMISSIVE, scratch=Workspace(n).faces)
         # boundary moving with the fluid: no compression, star pressure = p
         assert nodal.u_star[0] == -2.0
         assert p_star(nodal)[0] == pytest.approx(0.4, rel=1e-13)
@@ -115,7 +120,7 @@ class TestSolveAllNodes:
         n = 4
         state = make_state(np.ones(n), np.zeros(n), np.ones(n))
         bc = BoundaryCondition.prescribed_pressure(2.0)
-        nodal = cch.solve_all_nodes(state, GAS, bc, TRANSMISSIVE)
+        nodal = cch.solve_all_nodes(state, GAS, bc, TRANSMISSIVE, scratch=Workspace(n).faces)
         assert p_star(nodal)[0] == 2.0
         # higher outside pressure drives the boundary node inward
         assert nodal.u_star[0] > 0.0
@@ -123,14 +128,15 @@ class TestSolveAllNodes:
     def test_sod_interface_matches_closure(self):
         state = make_state([1.0, 0.125], [0.0, 0.0], [1.0, 0.1])
         nodal = cch.solve_all_nodes(state, GAS, TRANSMISSIVE, TRANSMISSIVE,
-                                    solver="acoustic")
+                                    solver="acoustic", scratch=Workspace(2).faces)
         assert nodal.u_star[1] == pytest.approx(0.6841486813454064, rel=1e-12)
         assert p_star(nodal)[1] == pytest.approx(0.19050436353163594, rel=1e-12)
 
     def test_solver_validation(self):
         state = make_state(np.ones(3), np.zeros(3), np.ones(3))
         with pytest.raises(ValueError):
-            cch.solve_all_nodes(state, GAS, TRANSMISSIVE, TRANSMISSIVE, solver="hll")
+            cch.solve_all_nodes(state, GAS, TRANSMISSIVE, TRANSMISSIVE, solver="hll",
+                                scratch=Workspace(3).faces)
 
 
 class TestStep:
@@ -209,6 +215,7 @@ class TestStep:
         rho = rng.uniform(0.2, 3.0, n)
         state = make_state(rho, np.full(n, 0.3), np.ones(n))
         for solver in ("acoustic", "quadratic"):
-            nodal = cch.solve_all_nodes(state, GAS, TRANSMISSIVE, TRANSMISSIVE, solver)
+            nodal = cch.solve_all_nodes(state, GAS, TRANSMISSIVE, TRANSMISSIVE, solver,
+                                        scratch=Workspace(n).faces)
             np.testing.assert_allclose(nodal.u_star, 0.3, rtol=1e-11)
             np.testing.assert_allclose(p_star(nodal), 1.0, rtol=1e-11)

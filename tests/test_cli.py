@@ -15,7 +15,7 @@ import unihydro as uh
 from unihydro import cch, cli, sgh
 from unihydro.diagnostics import BoundaryFlux
 from unihydro.errors import ConfigError
-from unihydro.mesh import Mesh1D, SghState
+from unihydro.mesh import Mesh1D, SghState, Workspace
 from unihydro.eos import IdealGas
 
 GAS = IdealGas(1.4)
@@ -33,28 +33,29 @@ class TestComputeDt:
         n = 100
         state = uniform_sgh_state(n)
         mesh = Mesh1D.from_nodes(np.linspace(0.0, 1.0, n + 1))
-        dt = cli.compute_dt(state, mesh, cfl=0.3, dt_prev=None,
-                            dt_max=np.inf, dt_growth=1.01, time_remaining=1.0)
+        dt = cli.compute_dt(state, mesh, cfl=0.3, dt_prev=None, dt_max=np.inf, dt_growth=1.01,
+                            time_remaining=1.0, workspace=Workspace(n))
         assert dt == pytest.approx(0.003, rel=1e-12)
 
     def test_end_time_clamp(self):
         state = uniform_sgh_state(10)
         mesh = Mesh1D.from_nodes(np.linspace(0.0, 1.0, 11))
-        dt = cli.compute_dt(state, mesh, 0.3, None, np.inf, 1.01, time_remaining=1e-5)
+        dt = cli.compute_dt(state, mesh, 0.3, None, np.inf, 1.01, time_remaining=1e-5,
+                            workspace=Workspace(10))
         assert dt == 1e-5
 
     def test_growth_clamp(self):
         state = uniform_sgh_state(10)
         mesh = Mesh1D.from_nodes(np.linspace(0.0, 1.0, 11))
         dt = cli.compute_dt(state, mesh, 0.3, dt_prev=1e-6, dt_max=np.inf,
-                            dt_growth=1.01, time_remaining=1.0)
+                            dt_growth=1.01, time_remaining=1.0, workspace=Workspace(10))
         assert dt == pytest.approx(1.01e-6, rel=1e-12)
 
     def test_dt_max_clamp(self):
         state = uniform_sgh_state(10)
         mesh = Mesh1D.from_nodes(np.linspace(0.0, 1.0, 11))
         dt = cli.compute_dt(state, mesh, 0.3, None, dt_max=1e-4,
-                            dt_growth=1.01, time_remaining=1.0)
+                            dt_growth=1.01, time_remaining=1.0, workspace=Workspace(10))
         assert dt == 1e-4
 
 
@@ -70,6 +71,14 @@ class TestRunConfig:
             uh.RunConfig(problem="sod", dt_growth=0.9)
         with pytest.raises(ConfigError):
             uh.RunConfig(problem="sod", method="fvm")
+        with pytest.raises(ConfigError, match="sgh_mode"):
+            uh.RunConfig(problem="sod", sgh_mode="rk2")
+        with pytest.raises(ConfigError, match="cch_solver"):
+            uh.RunConfig(problem="sod", cch_solver="hll")
+
+    def test_unresolvable_problem(self):
+        with pytest.raises(ConfigError, match="cannot resolve problem"):
+            uh.run(uh.RunConfig(problem=5))
 
     def test_problem_resolution_from_json(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -173,7 +182,7 @@ class TestRun:
         with pytest.raises(uh.SolverFailure, match="positivity floor hit") as err:
             uh.run(uh.RunConfig(problem=problem, method="cch", n_cells=20))
         assert (err.value.step, err.value.time) == (1, 0.0)
-        dt = 1e-4 * cli._cfl_candidate(state, mesh, 0.3)   # the first step of the ramp
+        dt = 1e-4 * cli._cfl_candidate(state, mesh, 0.3, Workspace(20))   # the ramp's first step
         _, first, _ = cch.step(state, mesh, IdealGas(problem.gamma), dt,
                                problem.bc_left, problem.bc_right)
         assert err.value.cell == int(np.argmin(first.rho)) != int(np.argmin(first.eps))
@@ -367,6 +376,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             config_of("--config", str(path))
 
+    def test_file_without_problem_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("method=sgh\n", encoding="utf-8")
+        assert cli.main(["run", "--config", str(path)]) == 3
+        assert "no problem specified" in capsys.readouterr().err
+
     def test_file_key_takes_the_flag_values(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("problem=sod\nsgh_mode=pc\n", encoding="utf-8")
@@ -478,13 +493,21 @@ class TestCommandLine:
         (lambda spec: spec["regions"][0].update(rho=True), "region rho must be a number"),
         (lambda spec: spec.update(bc_left={"kind": "prescribed_velocity", "value": False}),
          "boundary value must be a number"),
+        (lambda spec: spec["regions"][0].update(p=0.0), "region p"),
+        (lambda spec: spec["regions"][0].update(p=None, e=0.0), "region e"),
+        (lambda spec: spec["regions"][0].update(rho=1e-300, p=1e10), "internal energy"),
+        (lambda spec: spec.update(t_end=0.0), "t_end must be finite and > 0"),
+        (lambda spec: spec.update(reference="exact"), "unknown reference kind"),
+        (lambda spec: spec["regions"][0].update(x_lo=0.1), "regions must tile the domain"),
     ], ids=["unknown_region_key", "gamma_one", "negative_density", "negative_density_expr",
             "kinetic_energy_overflow", "negative_center_energy", "nan_center_energy",
             "zero_center_energy", "unknown_top_level_key",
             "name_with_slash", "name_escaping_out", "empty_name", "name_not_a_string",
             "name_forging_summary_line", "name_with_key_separator", "reversed_region",
             "wall_with_value", "transmissive_with_value", "true_t_end", "true_center_energy",
-            "true_domain_end", "true_region_density", "false_boundary_velocity"])
+            "true_domain_end", "true_region_density", "false_boundary_velocity",
+            "zero_pressure", "zero_internal_energy", "overflowing_internal_energy",
+            "zero_t_end", "unknown_reference_kind", "regions_short_of_left_end"])
     def test_bad_spec_file_is_config_error(self, tmp_path, capsys, edit, named):
         spec = uh.sod().to_dict()
         edit(spec)
@@ -574,6 +597,12 @@ class TestCommandLine:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "steps left" in err and "step 1 " in err
+
+    def test_failed_convergence_run_names_its_resolution(self, capsys):
+        assert cli.main(["converge", "--problem", "sod", "--cells", "10",
+                         "--dt-max", "1e-300"]) == 2
+        assert ("convergence run N=10 failed: t_end needs more than the 10000000 steps left"
+                in capsys.readouterr().err)
 
     def test_step_budget_ends_run(self, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_STEPS", 500)   # sod at N = 100 takes 922 steps

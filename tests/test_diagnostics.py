@@ -1,6 +1,8 @@
 """Audit machinery: ledger telescopes, entropy production values, error norms,
 profile features, and the entropy monitor."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ import unihydro as uh
 from unihydro import cch, sgh
 from unihydro import diagnostics as diag
 from unihydro.eos import IdealGas
+from unihydro.mesh import Workspace
 from unihydro.problems import BoundaryCondition, ProblemSpec, Region
 
 from oracles import count_extrema, crossing_position
@@ -155,7 +158,7 @@ class TestEntropyProduction:
         # (p - p*) du with p* = p + z|du| + k rho du^2 at du = -0.1:
         # 0.1*0.1 + 1.2*0.001 = 0.0112
         from unihydro.closure import sgh_star_pressure
-        p_star = sgh_star_pressure(1.0, 1.0, 1.0, -0.1, 1.4)
+        p_star = sgh_star_pressure(1.0, 1.0, 1.0, -0.1, 1.4, Workspace(2).faces[:2])
         got = diag.entropy_production_sgh(1.0, p_star, -0.1)
         assert got == pytest.approx(0.0112, rel=1e-12)
 
@@ -165,7 +168,8 @@ class TestEntropyProduction:
         u = np.full(n, 0.2)
         u_star = np.full(n + 1, 0.2)
         ps = np.ones(n + 1)
-        got = diag.entropy_production_cch(p, u - u_star[:-1], u_star[1:] - u, ps, ps)
+        got = diag.entropy_production_cch(p, u - u_star[:-1], u_star[1:] - u, ps, ps,
+                                          Workspace(n).cells[0])
         np.testing.assert_array_equal(got, 0.0)
 
 
@@ -227,6 +231,12 @@ class TestProfileFeatures:
         assert count_extrema(np.ones(50), 0.1) == 0
 
 
+def step_report(production, scale):
+    """The two fields of a step report that ``EntropyMonitor.update`` reads."""
+    return SimpleNamespace(entropy_production=np.array(production),
+                           entropy_scale=np.array(scale))
+
+
 class TestEntropyMonitor:
     def test_monitor_nondecreasing_across_shock(self):
         """Cells swept by the Sod shock end with a higher ln(P tau^gamma)."""
@@ -246,28 +256,40 @@ class TestEntropyMonitor:
 
     def test_violation_counting(self):
         mon = diag.EntropyMonitor()
-        mon.update(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+        mon.update(step_report([1.0, -1.0], [1.0, 1.0]))
         assert mon.violations == 1
         assert mon.worst_normalized == pytest.approx(-1.0)
         # a zero-scale cell counts as a violation but is not normalized, and
         # positive production (here over a zero scale) never lowers the worst
         mon = diag.EntropyMonitor()
-        mon.update(np.array([2.0, -3.0, -1.0, -0.5, 0.0]),
-                   np.array([0.0, 0.0, 4.0, 1.0, 0.0]))
+        mon.update(step_report([2.0, -3.0, -1.0, -0.5, 0.0], [0.0, 0.0, 4.0, 1.0, 0.0]))
         assert mon.violations == 3
         assert mon.worst_normalized == -0.5
-        mon.update(np.array([1.0, -0.0]), np.array([0.0, 2.0]))
+        mon.update(step_report([1.0, -0.0], [0.0, 2.0]))
         assert mon.worst_normalized == -0.5
         # all production nonnegative: no violation, and the worst stays
-        mon.update(np.array([3.0, 0.0, 0.25, -0.0, 7.0]), np.array([1.0, 0.0, 1.0, 2.0, 0.0]))
+        mon.update(step_report([3.0, 0.0, 0.25, -0.0, 7.0], [1.0, 0.0, 1.0, 2.0, 0.0]))
         assert (mon.violations, mon.worst_normalized) == (3, -0.5)
-        mon.update(np.array([0.5, 0.0]), np.array([1.0, 1.0]))
-        mon.update(np.array([-2.0, 0.125]), np.array([0.0, 1.0]))
+        mon.update(step_report([0.5, 0.0], [1.0, 1.0]))
+        mon.update(step_report([-2.0, 0.125], [0.0, 1.0]))
         assert (mon.violations, mon.worst_normalized) == (4, -0.5)
 
     def test_nan_production_takes_the_full_path(self):
         """A NaN anywhere fails the nonnegative fast test, so the negative cell
         after it is still counted and normalized."""
         mon = diag.EntropyMonitor()
-        mon.update(np.array([1.0, np.nan, -2.0]), np.array([1.0, 1.0, 4.0]))
+        mon.update(step_report([1.0, np.nan, -2.0], [1.0, 1.0, 4.0]))
         assert (mon.violations, mon.worst_normalized) == (1, -0.5)
+
+    def test_scale_is_read_only_for_negative_production(self):
+        """A step with no negative production leaves the lazy scale unformed."""
+        class Report:
+            entropy_production = np.array([0.0, 2.0, -0.0])
+
+            @property
+            def entropy_scale(self):
+                raise AssertionError("entropy_scale read")
+
+        mon = diag.EntropyMonitor()
+        mon.update(Report())
+        assert (mon.violations, mon.worst_normalized) == (0, 0.0)

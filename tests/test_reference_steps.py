@@ -22,7 +22,7 @@ from unihydro import cch, cli, closure, sgh
 from unihydro import diagnostics as diag
 from unihydro.eos import IdealGas
 from unihydro.errors import MeshTangled, SolverFailure
-from unihydro.mesh import CchState, Mesh1D, SghState
+from unihydro.mesh import CchState, Mesh1D, SghState, Workspace
 
 N_STEPS = 50
 
@@ -78,7 +78,8 @@ def ref_solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma, solver):
     out = (np.empty(u_ac.shape), np.empty(u_ac.shape), np.empty(u_ac.shape),
            np.empty(u_ac.shape, dtype=bool))
     u_star, ps_l, ps_r, accepted = closure._quadratic_kernel(
-        rl, cl, pl, rr, cr, pr, gamma, u_ac, u_ac - ul, ur - u_ac, rl * cl, rr * cr, out)
+        rl, cl, pl, rr, cr, pr, gamma, u_ac, u_ac - ul, ur - u_ac, rl * cl, rr * cr, out,
+        Workspace(len(rl) + 1).faces[:7])
     j = np.flatnonzero(~accepted)
     if j.size:
         u_star[j], p_2s = ref_two_shock(
@@ -122,7 +123,7 @@ def ref_sgh_advance(base_state, base_mesh, work_state, gas, dt, bc_left, bc_righ
     u_work = work_state.node_u
     du = u_work[1:] - u_work[:-1]
     p_star = closure.sgh_star_pressure(work_state.rho, work_state.c, work_state.p, du,
-                                       gas.gamma)
+                                       gas.gamma, Workspace(len(du)).cells[:2])
     p_cell = work_state.p
     if p_pred is not None:   # the corrector pass: the two passes' average acts throughout
         p_star, p_cell = 0.5 * (p_star + p_pred), 0.5 * (work_state.p + base_state.p)
@@ -215,8 +216,10 @@ def _report_arrays(report):
 
 
 def march_both(problem, mesh, state, method, option, dt_of):
-    """N_STEPS steps of the library step (driver floors bound in) and of the
-    reference (floors checked after the step), with ``dt_of(step, candidate)``."""
+    """N_STEPS steps of the library step (the run's floors bound in, and one
+    Workspace for the steps, the jumps and the CFL candidate, as ``uh.run``
+    has) and of the reference (floors checked after the step), with
+    ``dt_of(step, candidate)``."""
     gas = IdealGas(problem.gamma)
     floors = cli._positivity_floors(state)
     if method == "sgh":
@@ -225,16 +228,18 @@ def march_both(problem, mesh, state, method, option, dt_of):
         lib_step, ref_step = cch.step, ref_cch_step
     ref_mesh, ref_state = mesh, state
     monitor, ref_monitor = diag.EntropyMonitor(), RefMonitor()
+    workspace = Workspace(len(state.rho))
     for k in range(N_STEPS):
-        assert _bits(state.velocity_jumps()) == _bits(ref_velocity_jumps(ref_state))
+        assert _bits(state.velocity_jumps(workspace)) == _bits(ref_velocity_jumps(ref_state))
         candidate = ref_cfl_candidate(ref_state, ref_mesh, 0.3)
-        assert cli._cfl_candidate(state, mesh, 0.3) == candidate
+        assert cli._cfl_candidate(state, mesh, 0.3, workspace) == candidate
         dt = dt_of(k, candidate)
         ref_mesh, ref_state, ref_values = ref_step(ref_state, ref_mesh, gas, dt,
                                                    problem.bc_left, problem.bc_right, option)
         ref_floor_check(ref_state, *floors)
         mesh, state, report = lib_step(state, mesh, gas, dt, problem.bc_left,
-                                       problem.bc_right, option, floors=floors)
+                                       problem.bc_right, option, floors=floors,
+                                       workspace=workspace)
         assert _bits(mesh.node_x) == _bits(ref_mesh.node_x)
         assert _bits(mesh.cell_volumes) == _bits(ref_volumes(ref_mesh))
         assert_same_state(ref_state, state)
@@ -245,7 +250,7 @@ def march_both(problem, mesh, state, method, option, dt_of):
             else:
                 assert value.dtype == ref_value.dtype
                 assert value.tobytes() == ref_value.tobytes()
-        monitor.update(report.entropy_production, report.entropy_scale)
+        monitor.update(report)
         ref_monitor.update(*ref_values[:2])
         assert vars(monitor) == vars(ref_monitor)
     return state
