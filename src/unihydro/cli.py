@@ -106,10 +106,9 @@ def resolve_problem(problem: str | ProblemSpec) -> ProblemSpec:
     if isinstance(problem, str):
         try:
             if problem.startswith("@"):
-                with open(problem[1:], "r", encoding="utf-8") as fh:
-                    return ProblemSpec.from_json(fh.read())
+                return ProblemSpec.from_json(_read_text("--problem", problem[1:]))
             return problems_mod.by_name(problem)
-        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ConfigError(str(exc)) from exc
     raise ConfigError(f"cannot resolve problem from {problem!r}")
 
@@ -353,21 +352,26 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _read_text(flag: str, path: str) -> str:
+    """The text of the UTF-8 file ``path``; a ConfigError naming ``flag`` if none."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:   # an OSError's strerror omits the path
+        raise ConfigError(f"{flag}: cannot read {path!r}: "
+                          f"{getattr(exc, 'strerror', exc)}") from exc
+
+
 def _load_config_file(path: str) -> dict:
     values: dict[str, str] = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"--config: cannot read {path!r}: {exc.strerror}") from exc
-    with fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for line_no, raw in enumerate(_read_text("--config", path).split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 

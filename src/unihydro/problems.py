@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import json
+import numbers
 import operator
 from dataclasses import asdict, dataclass
 
@@ -60,14 +61,17 @@ def _eval_density(text, x):
         raise ValueError(f"rho_expr {text!r} is not a valid expression: {exc!r}") from None
 
 
-def _reject_bools(obj, owner: str, names):
-    """ValueError naming the first of the number fields ``names`` of a spec
-    dataclass that holds a bool: JSON true/false is an int to Python and would
-    pass every range check as 1 or 0."""
-    for name in names:
-        value = getattr(obj, name)
-        if any(isinstance(v, bool) for v in (value if name == "domain" else (value,))):
-            raise ValueError(f"{owner}{name} must be a number, got {value!r}")
+def _number(owner: str, name: str, value, lo=-np.inf, hi=np.inf):
+    """``value`` if it is a real number, not a bool, with lo < value < hi (never
+    NaN); else a ValueError naming the field ``owner + name``. JSON true/false is
+    an int to Python, and a JSON integer past the float range overflows float()."""
+    try:
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and lo < float(value) < hi):
+            return value
+    except OverflowError:
+        pass
+    raise ValueError(f"{owner}{name} must be a number in ({lo:g}, {hi:g}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,12 +82,10 @@ class BoundaryCondition:
     value: float | None = None
 
     def __post_init__(self):
-        _reject_bools(self, "boundary ", ("value",))
         if self.kind not in _BC_KINDS:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
         if self.kind.startswith("prescribed"):
-            if self.value is None or not np.isfinite(self.value):
-                raise ValueError(f"{self.kind} needs a finite value")
+            _number("boundary ", "value", self.value)
         elif self.value is not None:
             raise ValueError(f"a {self.kind} boundary takes no value, got {self.value!r}")
 
@@ -104,11 +106,11 @@ class BoundaryCondition:
 
     @classmethod
     def prescribed_velocity(cls, u: float):
-        return cls("prescribed_velocity", float(u))
+        return cls("prescribed_velocity", u)
 
     @classmethod
     def prescribed_pressure(cls, p: float):
-        return cls("prescribed_pressure", float(p))
+        return cls("prescribed_pressure", p)
 
 
 @dataclass(frozen=True)
@@ -125,18 +127,18 @@ class Region:
     rho_expr: str | None = None
 
     def __post_init__(self):
-        _reject_bools(self, "region ", ("x_lo", "x_hi", "rho", "u", "p", "e"))
-        if not -np.inf < self.x_lo < self.x_hi < np.inf:
-            raise ValueError(f"region [{self.x_lo}, {self.x_hi}) is not a finite, "
-                             f"nonempty interval")
+        if not _number("region ", "x_lo", self.x_lo) < _number("region ", "x_hi", self.x_hi):
+            raise ValueError(f"region [{self.x_lo}, {self.x_hi}) is not a nonempty interval")
+        _number("region ", "rho", self.rho, 0.0)
+        # the kinetic energy u^2/2 a cell-centered state carries must be finite
+        if not 0.5 * _number("region ", "u", self.u) * self.u < np.inf:
+            raise ValueError(f"region u out of range: {self.u}")
         if (self.p is None) == (self.e is None):
             raise ValueError("region needs exactly one of p or e")
-        energy = "p" if self.e is None else "e"
-        # u: the kinetic energy u^2/2 a cell-centered state carries must be finite
-        for name, ok in (("rho", 0.0 < self.rho < np.inf), ("u", 0.5 * self.u * self.u < np.inf),
-                         (energy, 0.0 < getattr(self, energy) < np.inf)):
-            if not ok:
-                raise ValueError(f"region {name} out of range: {getattr(self, name)}")
+        if self.e is None:
+            _number("region ", "p", self.p, 0.0)
+        else:
+            _number("region ", "e", self.e, 0.0)
         if self.rho_expr is not None:
             with np.errstate(all="ignore"):
                 _eval_density(self.rho_expr, np.float64(0.0))
@@ -176,22 +178,18 @@ class ProblemSpec:
                 or not self.name.isprintable() or any(ch in self.name for ch in "/\\=")):
             raise ValueError(f"name must be a printable file name without '/', '\\' "
                              f"or '=', got {self.name!r}")
-        _reject_bools(self, "", ("domain", "t_end", "gamma", "center_energy"))
-        if not 0.0 < self.t_end < np.inf:
-            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
-        if not 1.0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be finite and > 1, got {self.gamma}")
-        if not (self.center_energy is None or 0.0 < self.center_energy < np.inf):
-            raise ValueError(f"center_energy must be finite and > 0, got {self.center_energy}")
+        if not (isinstance(self.domain, (tuple, list)) and len(self.domain) == 2):
+            raise ValueError(f"domain must be exactly two numbers, got {self.domain!r}")
+        lo, hi = (_number("", "domain", end) for end in self.domain)
+        _number("", "t_end", self.t_end, 0.0)
+        _number("", "gamma", self.gamma, 1.0)
+        if self.center_energy is not None:
+            _number("", "center_energy", self.center_energy, 0.0)
         if self.reference not in ("exact_riemann", "self_converged"):
             raise ValueError(f"unknown reference kind {self.reference!r}")
-        lo, hi = self.domain
-        if not (self.regions and self.regions[0].x_lo == lo
-                and self.regions[-1].x_hi == hi):
-            raise ValueError("regions must tile the domain")
-        for a, b in zip(self.regions[:-1], self.regions[1:]):
-            if a.x_hi != b.x_lo:
-                raise ValueError("regions must tile the domain without gaps")
+        ends = [lo, *(x for r in self.regions for x in (r.x_lo, r.x_hi)), hi]
+        if not self.regions or ends[0::2] != ends[1::2]:   # (lo, x_lo), (x_hi, x_lo), ...
+            raise ValueError("regions must tile the domain without gaps")
 
     # -- initial data sampling ---------------------------------------------
 
@@ -234,7 +232,8 @@ class ProblemSpec:
     def from_dict(cls, d: dict) -> "ProblemSpec":
         """The spec a ``to_dict`` mapping describes; a key that names no field,
         at any level, is a TypeError."""
-        return cls(**{**d, "domain": tuple(d["domain"]),
+        domain = d["domain"]   # JSON gives a list; __post_init__ refuses any other form
+        return cls(**{**d, "domain": tuple(domain) if isinstance(domain, list) else domain,
                       "regions": tuple(Region(**r) for r in d["regions"]),
                       "bc_left": BoundaryCondition(**d["bc_left"]),
                       "bc_right": BoundaryCondition(**d["bc_right"])})
@@ -342,30 +341,29 @@ def _symmetric_linspace(a: float, b: float, n_points: int) -> np.ndarray:
     return mid + 0.5 * (offsets - offsets[::-1])
 
 
+def _formed(name: str, q: np.ndarray) -> np.ndarray:
+    """q, if every entry is finite and > 0; else a ValueError naming ``name``."""
+    if not np.all((q > 0.0) & (q < np.inf)):
+        raise ValueError(f"initial {name} must be finite and > 0 (an overflow or underflow)")
+    return q
+
+
 def build_initial(problem: ProblemSpec, n_cells: int, method: str):
     """Uniform mesh and initial state: cell fields (and masses) sampled at the
     centres, staggered node velocities from the region velocities, and the
     center deposit set before the one evaluation of pressure and sound speed.
 
     For an even cell count the deposit is split over the two central cells so
-    mirror-symmetric data stays exactly symmetric. An internal energy, sound speed
-    or (CCH) total energy that overflows or underflows to 0 is a ValueError.
+    mirror-symmetric data stays exactly symmetric. A quantity formed here from the
+    spec's data that overflows or underflows to 0 is a ValueError naming it.
     """
-    a, b = float(problem.domain[0]), float(problem.domain[1])
     if n_cells < 2:
         raise ValueError(f"need at least 2 cells, got {n_cells}")
     if method not in ("sgh", "cch"):
         raise ValueError(f"unknown state kind {method!r}")
 
-    node_x = _symmetric_linspace(a, b, n_cells + 1)
+    node_x = _symmetric_linspace(*map(float, problem.domain), n_cells + 1)
     rho, u, p = problem.primitives_at(0.5 * (node_x[:-1] + node_x[1:]))
-    for name, q in (("rho", rho), ("u", u), ("p", p)):
-        if not np.all(np.isfinite(q)):
-            raise ValueError(f"non-finite initial {name}")
-    if np.any(rho <= 0.0):
-        raise ValueError("initial density must be positive")
-    if np.any(p < 0.0):
-        raise ValueError("initial pressure must be nonnegative")
     grid = Mesh1D.from_nodes(node_x, rho)
     for name, q in (("node ordering: cell width", grid.cell_volumes),
                     ("cell_mass", grid.cell_mass), ("node_mass", grid.node_mass)):
@@ -374,24 +372,19 @@ def build_initial(problem: ProblemSpec, n_cells: int, method: str):
                              f"with {n_cells} cells on the domain {problem.domain}")
 
     gas = IdealGas(problem.gamma)
-    with np.errstate(over="ignore"):   # an overflow is named below
+    with np.errstate(over="ignore"):   # each quantity is checked as it is formed
         eps = gas.internal_energy(rho, p)
         if problem.center_energy is not None:
             half = n_cells // 2
             targets = [half - 1, half] if n_cells % 2 == 0 else [half]
             eps[targets] = problem.center_energy / len(targets) / grid.cell_mass[targets]
-            p = gas.pressure(rho, eps)
-        c = gas.sound_speed(rho, p)
-        E = eps + 0.5 * u ** 2 if method == "cch" else None   # SGH carries no total energy
-    for name, q in (("internal energy", eps), ("sound speed", c), ("total energy", E)):
-        if q is not None and not np.all((q > 0.0) & (q < np.inf)):
-            raise ValueError(f"initial {name} must be finite and > 0 (an overflow or underflow)")
-    if method == "cch":
-        return grid, CchState(rho, u, E, eps, p, c)
-    node_u = problem.velocity_at_nodes(node_x)
-    if not np.all(np.isfinite(node_u)):
-        raise ValueError("non-finite initial node velocity")
-    return grid, SghState(node_u, rho, eps, p, c)
+        _formed("internal energy", eps)
+        if problem.center_energy is not None:
+            p = _formed("pressure", gas.pressure(rho, eps))
+        c = _formed("sound speed", gas.sound_speed(rho, p))
+        if method == "cch":   # SGH carries no total energy
+            return grid, CchState(rho, u, _formed("total energy", eps + 0.5 * u ** 2), eps, p, c)
+    return grid, SghState(problem.velocity_at_nodes(node_x), rho, eps, p, c)
 
 
 # -- reference solutions ------------------------------------------------------
@@ -439,11 +432,13 @@ def reference(problem: ProblemSpec, t: float, n_reference: int = 3200):
 def _build_reference(problem: ProblemSpec, t: float, n_reference: int):
     if not 0.0 <= t <= problem.t_end * (1.0 + 1e-12):
         raise ValueError(f"reference time t={t} outside [0, t_end={problem.t_end}]")
+    if problem.center_energy is not None and (t == 0.0 or problem.reference == "exact_riemann"):
+        raise ValueError(f"{problem.name}: the center_energy deposit depends on N, so neither an "
+                         f"exact_riemann reference nor the initial data at t = 0 carries it")
     if problem.reference == "exact_riemann" and (
-            len(problem.regions) != 2 or any(r.rho_expr for r in problem.regions)
-            or problem.center_energy is not None):
+            len(problem.regions) != 2 or any(r.rho_expr for r in problem.regions)):
         raise ValueError(f"{problem.name}: an exact_riemann reference needs two regions "
-                         f"of constant density and no center_energy")
+                         f"of constant density")
     if problem.reference == "self_converged" and t > 0.0:
         centers, fields = _self_reference_run(problem, t, n_reference)
         return lambda x: {f: np.interp(x, centers, v) for f, v in fields.items()}

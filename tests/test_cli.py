@@ -464,6 +464,22 @@ class TestCommandLine:
         assert cli.main(argv) == 3
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, content", [
+        ("--config", "{path}", b"\xff\xfe\x00"),
+        ("--problem", "@{path}", b"\xff\xfe\x00"),
+        ("--problem", "@{path}", None),
+    ], ids=["config_not_utf8", "spec_not_utf8", "spec_missing"])
+    def test_unreadable_file_is_config_error(self, tmp_path, capsys, flag, value, content):
+        """A file named on the command line that cannot be read, or is not UTF-8,
+        exits 3 naming the flag and the path (a missing --config file is a case
+        of test_bad_option_is_config_error)."""
+        path = tmp_path / "input"
+        if content is not None:
+            path.write_bytes(content)
+        assert cli.main(["run", "--problem", "sod", flag, value.format(path=path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{flag}: cannot read {str(path)!r}" in err
+
     @pytest.mark.parametrize("edit, named", [
         (lambda spec: spec["regions"][0].update(bogus=1.0), "bogus"),
         (lambda spec: spec.update(gamma=1.0), "gamma"),
@@ -496,7 +512,7 @@ class TestCommandLine:
         (lambda spec: spec["regions"][0].update(p=0.0), "region p"),
         (lambda spec: spec["regions"][0].update(p=None, e=0.0), "region e"),
         (lambda spec: spec["regions"][0].update(rho=1e-300, p=1e10), "internal energy"),
-        (lambda spec: spec.update(t_end=0.0), "t_end must be finite and > 0"),
+        (lambda spec: spec.update(t_end=0.0), "t_end must be a number in (0, inf)"),
         (lambda spec: spec.update(reference="exact"), "unknown reference kind"),
         (lambda spec: spec["regions"][0].update(x_lo=0.1), "regions must tile the domain"),
     ], ids=["unknown_region_key", "gamma_one", "negative_density", "negative_density_expr",
@@ -542,6 +558,20 @@ class TestCommandLine:
         assert cli.main([command, "--problem", f"@{path}", *required]) == 3
         assert "exact_riemann reference" in capsys.readouterr().err
         assert not (tmp_path / "ref.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--problem", "sedov", "--cells", "50,100", "--t-end", "0"],
+        ["reference", "--problem", "sedov", "--t", "0", "--points", "5", "--out", "{ref}"],
+    ], ids=["converge", "reference"])
+    def test_initial_reference_of_a_deposit_is_config_error(self, tmp_path, capsys,
+                                                            monkeypatch, argv):
+        """The center deposit depends on N, so no reference at t = 0 carries it:
+        both commands exit 3 naming center_energy before a run starts."""
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a run started"))
+        ref = tmp_path / "ref.csv"
+        assert cli.main([arg.format(ref=ref) for arg in argv]) == 3
+        assert "center_energy" in capsys.readouterr().err
+        assert not ref.exists()
 
     @pytest.mark.parametrize("command, cells", [("run", "100"), ("converge", "50,100")])
     def test_domain_too_narrow_for_the_cells_is_config_error(self, tmp_path, capsys,

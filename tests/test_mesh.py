@@ -1,5 +1,7 @@
 """Mesh construction, geometry updates, and mass-conservation structure."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,10 +59,31 @@ class TestBuild:
             build_initial(UNIFORM, 4, "fvm")
 
     def test_rejects_non_finite_data(self):
-        """(gamma - 1) rho e overflows to an infinite pressure."""
+        """(gamma - 1) rho e overflows to an infinite pressure, and the internal
+        energy formed from it is infinite."""
         overflowing = spec(Region(0.0, 1.0, rho=10.0, u=0.0, e=1e308))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite initial p"):
+        with (np.errstate(over="ignore"),
+              pytest.raises(ValueError, match="initial internal energy must be finite")):
             build_initial(overflowing, 4, "sgh")
+
+    @pytest.mark.parametrize("problem, method, named", [
+        (replace(spec(Region(0.0, 1e-300, rho=1e-5, u=0.0, e=1.0), domain=(0.0, 1e-300)),
+                 center_energy=1e10), "sgh", "internal energy"),
+        (spec(Region(0.0, 1.0, rho=1e10, u=0.0, p=1e-320)), "cch", "internal energy"),
+        (replace(spec(Region(0.0, 1e-10, rho=1e10, u=0.0, e=1.0), domain=(0.0, 1e-10)),
+                 center_energy=1e300), "sgh", "pressure"),
+        (replace(spec(Region(0.0, 1.0, rho=1e-300, u=0.0, p=1.0)), gamma=1e10),
+         "sgh", "sound speed"),
+        (spec(Region(0.0, 1.0, rho=1.0, u=1e154, e=1.5e308)), "cch", "total energy"),
+    ], ids=["deposit_eps_overflow", "eps_underflow", "deposit_pressure_overflow",
+            "sound_speed_overflow", "total_energy_overflow"])
+    def test_names_the_quantity_it_forms(self, problem, method, named):
+        """Each quantity ``build_initial`` forms from data the spec accepts is
+        checked before the next one is formed from it, and named when it
+        overflows or underflows to 0 (a deposit's eps is checked before the
+        pressure is formed from it)."""
+        with pytest.raises(ValueError, match=f"initial {named} must be finite and > 0"):
+            build_initial(problem, 2, method)
 
     def test_rejects_empty_domain(self):
         with pytest.raises(ValueError, match="nonempty interval"):
@@ -82,44 +105,13 @@ class TestBuild:
         with pytest.raises(ValueError, match="node ordering"):
             build_initial(subnormal, 10, "cch")
 
-    def test_rejects_overflowing_node_velocity(self, monkeypatch):
+    def test_rejects_overflowing_node_velocity(self):
         """The interface node averages two finite velocities whose sum overflows.
         ``Region`` rejects such a velocity by its kinetic energy when a spec is
-        made, so a patched node sampler stands in for the average."""
+        made, so ``build_initial`` never forms that average."""
         with pytest.raises(ValueError, match="region u"):
             spec(Region(0.0, 0.5, rho=1.0, u=1.7e308, p=1.0),
                  Region(0.5, 1.0, rho=1.0, u=1.7e308, p=1.0))
-        sample = ProblemSpec.velocity_at_nodes
-
-        def overflowing(problem, xn):
-            u = sample(problem, xn)
-            with np.errstate(over="ignore"):
-                u[len(u) // 2] = 0.5 * (np.float64(1.7e308) + np.float64(1.7e308))
-            return u
-
-        monkeypatch.setattr(ProblemSpec, "velocity_at_nodes", overflowing)
-        with pytest.raises(ValueError, match="node velocity"):
-            build_initial(UNIFORM, 10, "sgh")
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("rho", np.nan, "non-finite initial rho"),
-        ("u", np.inf, "non-finite initial u"),
-        ("rho", -1.0, "initial density must be positive"),
-        ("p", -1.0, "initial pressure must be nonnegative"),
-    ])
-    def test_rejects_bad_sampled_data(self, monkeypatch, field, value, message):
-        """``Region`` rejects such data when a spec is made, so a patched sampler
-        stands in for a spec that carries it."""
-        sample = ProblemSpec.primitives_at
-
-        def bad(problem, x):
-            fields = dict(zip(("rho", "u", "p"), sample(problem, x)))
-            fields[field][0] = value
-            return fields["rho"], fields["u"], fields["p"]
-
-        monkeypatch.setattr(ProblemSpec, "primitives_at", bad)
-        with pytest.raises(ValueError, match=message):
-            build_initial(UNIFORM, 4, "sgh")
 
 
 class TestUpdateGeometry:

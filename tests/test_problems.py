@@ -1,6 +1,7 @@
 """Benchmark definitions, initial-state construction, and reference sampling."""
 
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -368,3 +369,65 @@ class TestValidation:
             BoundaryCondition("nosuch")
         with pytest.raises(ValueError):
             BoundaryCondition("prescribed_velocity")
+
+
+# every number field of the three spec classes, read from their annotations so
+# that a field added later is held to the same rule
+NUMBER_FIELDS = [(cls.__name__, f.name) for cls in (BoundaryCondition, Region, ProblemSpec)
+                 for f in fields(cls) if "float" in str(f.type)]
+NOT_NUMBERS = ["1", [1], True, np.True_, float("nan"), 10 ** 400]
+
+
+def sod_dict_with(owner: str, name: str, value) -> dict:
+    """A sod spec mapping, as JSON gives it, with one number field set to value:
+    the first region's field (its e in place of p), the value of a prescribed
+    left side, the right end of the domain, or the top-level field."""
+    spec = json.loads(uh.sod().to_json())
+    if owner == "Region":
+        spec["regions"][0].update({"p": None} if name == "e" else {}, **{name: value})
+    elif owner == "BoundaryCondition":
+        spec["bc_left"] = {"kind": "prescribed_velocity", name: value}
+    elif name == "domain":
+        spec["domain"][1] = value
+    else:
+        spec[name] = value
+    return spec
+
+
+class TestNumberRule:
+    """Every spec number is a real number, not a bool, inside its field's range,
+    or ``from_dict`` raises a ValueError that names the field."""
+
+    def test_fields_found(self):
+        assert {name for _, name in NUMBER_FIELDS} == {
+            "value", "x_lo", "x_hi", "rho", "u", "p", "e",
+            "domain", "t_end", "gamma", "center_energy"}
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS,
+                             ids=["string", "list", "true", "numpy_true", "nan", "big_int"])
+    @pytest.mark.parametrize("owner, name", NUMBER_FIELDS,
+                             ids=[f"{owner}.{name}" for owner, name in NUMBER_FIELDS])
+    def test_every_number_field_refuses_what_is_no_number(self, owner, name, value):
+        with pytest.raises(ValueError, match=rf"\b{name} must be a number"):
+            ProblemSpec.from_dict(sod_dict_with(owner, name, value))
+
+    @pytest.mark.parametrize("domain", ["1", [1], True, float("nan"), 10 ** 400, [0, 0.5, 1]],
+                             ids=["string", "one_end", "true", "nan", "big_int", "three_ends"])
+    def test_domain_is_two_numbers(self, domain):
+        spec = dict(json.loads(uh.sod().to_json()), domain=domain)
+        with pytest.raises(ValueError, match="domain must be"):
+            ProblemSpec.from_dict(spec)
+
+    @pytest.mark.parametrize("make", [BoundaryCondition.prescribed_velocity,
+                                      BoundaryCondition.prescribed_pressure])
+    def test_boundary_constructors_convert_nothing(self, make):
+        """The constructors hand their value to the rule as given: float()
+        would turn "1" and True into 1.0 and fail on an integer past its range."""
+        for value in ("1", True, 10 ** 400):
+            with pytest.raises(ValueError, match="boundary value must be a number"):
+                make(value)
+
+    def test_numpy_and_int_numbers_pass(self):
+        spec = replace(uh.sod(), t_end=np.int64(1), gamma=np.float32(1.5), domain=(0, 1))
+        assert (spec.t_end, spec.gamma, spec.domain) == (1, np.float32(1.5), (0, 1))
+        assert Region(0, 1, rho=10 ** 300, u=-3, e=np.float64(2.0)).rho == 10 ** 300
