@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SolverFailure
 from .mesh import _greatest, _least
 
 __all__ = ["star_pressure", "sgh_star_pressure", "solve_nodes"]
@@ -119,20 +120,22 @@ def _quadratic_kernel(rl, cl, pl, rr, cr, pr, gamma, u_ac, dl0, dr0, zl, zr, out
     k = 0.5 * (gamma + 1.0)
     u_star, ps_l, ps_r, accepted = out
     s0, s1, s2, s3, s4, s5, s6 = scratch
-    krl, krr = np.multiply(k, rl, s0), np.multiply(k, rr, s1)
-    kdl, kdr = np.multiply(krl, dl0, s2), np.multiply(krr, dr0, s3)
-    # A delta^2 + 2 b delta - c = 0: B' = 2 b and C' = -c (with r0) of the module docstring;
-    # b = kdl + kdr - 0.5 (zl + zr), c = kdr dr0 - kdl dl0 + ((pr - zr dr0) - (pl - zl dl0))
-    A = np.subtract(krl, krr, s4)
-    b = np.subtract(np.add(kdl, kdr, s6), np.multiply(0.5, np.add(zl, zr, s5), s5), s6)
-    c = np.subtract(np.multiply(kdr, dr0, s5), np.multiply(kdl, dl0, s2), s5)
-    c += np.subtract(np.subtract(pr, np.multiply(zr, dr0, s2), s2),
-                     np.subtract(pl, np.multiply(zl, dl0, s3), s3), s2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        krl, krr = np.multiply(k, rl, s0), np.multiply(k, rr, s1)
+        kdl, kdr = np.multiply(krl, dl0, s2), np.multiply(krr, dr0, s3)
+        # A delta^2 + 2 b delta - c = 0: B' = 2 b and C' = -c (with r0) of the module docstring;
+        # b = kdl + kdr - 0.5 (zl + zr), c = kdr dr0 - kdl dl0 + ((pr - zr dr0) - (pl - zl dl0))
+        A = np.subtract(krl, krr, s4)
+        b = np.subtract(np.add(kdl, kdr, s6), np.multiply(0.5, np.add(zl, zr, s5), s5), s6)
+        c = np.subtract(np.multiply(kdr, dr0, s5), np.multiply(kdl, dl0, s2), s5)
+        c += np.subtract(np.subtract(pr, np.multiply(zr, dr0, s2), s2),
+                         np.subtract(pl, np.multiply(zl, dl0, s3), s3), s2)
         disc = np.add(np.multiply(b, b, s2), np.multiply(A, c, s3), s2)   # D/4
-        # a non-finite coefficient makes disc non-finite (so does an overflow)
+        # a non-finite coefficient makes disc non-finite (so does an overflow); the failure
+        # names the cell left of the first node with one (node i is right of cell i)
         if not _greatest(np.abs(disc, s3)) < np.inf and not np.isfinite((A, b, c)).all():
-            raise FloatingPointError("non-finite nodal force-balance coefficients")
+            raise SolverFailure("non-finite nodal force-balance coefficients",
+                                cell=int(np.isfinite((A, b, c)).all(0).argmin()))
         # c / (b + sign(b) sqrt(disc)), NaN where disc < 0
         delta = np.divide(c, np.add(b, np.copysign(np.sqrt(disc, s3), b, s3), s3), s3)
         dl, dr = np.add(dl0, delta, s4), np.subtract(dr0, delta, s5)

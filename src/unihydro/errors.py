@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 class SolverFailure(RuntimeError):
-    """A run could not continue: negative energy, tangled mesh, blow-up.
+    """A run or solve could not continue: negative energy, tangled mesh, blow-up.
 
     Carries optional context (step index, simulation time, cell index) that
     the run loop fills in when the failure surfaces mid-run.
@@ -37,4 +37,4 @@ class MeshTangled(SolverFailure):
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration (CLI exit code 3)."""
+    """Bad input: a run configuration, a problem spec or its initial state (CLI exit code 3)."""

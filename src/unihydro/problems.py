@@ -12,12 +12,14 @@ import ast
 import json
 import numbers
 import operator
+import reprlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import riemann
 from .eos import IdealGas
+from .errors import ConfigError
 from .mesh import CchState, Mesh1D, SghState
 
 __all__ = [
@@ -39,7 +41,7 @@ _EXPR_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: opera
 def _eval_density(text, x):
     """Value of a density expression at x, by a walk over its syntax tree that
     admits only numbers, x, pi, + - * / **, unary signs and one-argument calls
-    of ``_EXPR_FUNCTIONS``; anything else is a ValueError."""
+    of ``_EXPR_FUNCTIONS``; anything else is a ConfigError."""
     def value(node):
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
             return np.float64(node.value)
@@ -53,25 +55,27 @@ def _eval_density(text, x):
                 and node.func.id in _EXPR_FUNCTIONS and len(node.args) == 1
                 and not node.keywords):
             return _EXPR_FUNCTIONS[node.func.id](value(node.args[0]))
-        raise ValueError(f"rho_expr may not contain {ast.unparse(node)!r}")
+        raise ConfigError(f"rho_expr may not contain {ast.unparse(node)!r}")
 
     try:  # the parser reports input nested too deeply as MemoryError
         return value(ast.parse(text, mode="eval").body)
     except (SyntaxError, TypeError, OverflowError, RecursionError, MemoryError) as exc:
-        raise ValueError(f"rho_expr {text!r} is not a valid expression: {exc!r}") from None
+        raise ConfigError(f"rho_expr {text!r} is not a valid expression: {exc!r}") from None
 
 
 def _number(owner: str, name: str, value, lo=-np.inf, hi=np.inf):
     """``value`` if it is a real number, not a bool, with lo < value < hi (never
-    NaN); else a ValueError naming the field ``owner + name``. JSON true/false is
-    an int to Python, and a JSON integer past the float range overflows float()."""
+    NaN); else a ConfigError naming the field ``owner + name`` (and a reprlib cut of
+    the value). JSON true/false is an int to Python, and a JSON integer past the
+    float range overflows float()."""
     try:
         if (isinstance(value, numbers.Real) and not isinstance(value, bool)
                 and lo < float(value) < hi):
             return value
     except OverflowError:
         pass
-    raise ValueError(f"{owner}{name} must be a number in ({lo:g}, {hi:g}), got {value!r}")
+    raise ConfigError(f"{owner}{name} must be a number in ({lo:g}, {hi:g}), "
+                      f"got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -83,11 +87,11 @@ class BoundaryCondition:
 
     def __post_init__(self):
         if self.kind not in _BC_KINDS:
-            raise ValueError(f"unknown boundary kind {self.kind!r}")
+            raise ConfigError(f"unknown boundary kind {self.kind!r}")
         if self.kind.startswith("prescribed"):
             _number("boundary ", "value", self.value)
         elif self.value is not None:
-            raise ValueError(f"a {self.kind} boundary takes no value, got {self.value!r}")
+            raise ConfigError(f"a {self.kind} boundary takes no value, got {self.value!r}")
 
     @property
     def velocity(self) -> float | None:
@@ -128,13 +132,13 @@ class Region:
 
     def __post_init__(self):
         if not _number("region ", "x_lo", self.x_lo) < _number("region ", "x_hi", self.x_hi):
-            raise ValueError(f"region [{self.x_lo}, {self.x_hi}) is not a nonempty interval")
+            raise ConfigError(f"region [{self.x_lo}, {self.x_hi}) is not a nonempty interval")
         _number("region ", "rho", self.rho, 0.0)
         # the kinetic energy u^2/2 a cell-centered state carries must be finite
         if not 0.5 * _number("region ", "u", self.u) * self.u < np.inf:
-            raise ValueError(f"region u out of range: {self.u}")
+            raise ConfigError(f"region u out of range: {self.u}")
         if (self.p is None) == (self.e is None):
-            raise ValueError("region needs exactly one of p or e")
+            raise ConfigError("region needs exactly one of p or e")
         if self.e is None:
             _number("region ", "p", self.p, 0.0)
         else:
@@ -148,7 +152,7 @@ class Region:
             return np.full_like(x, self.rho, dtype=float)
         rho = np.asarray(_eval_density(self.rho_expr, x), dtype=float)
         if not np.all((rho > 0.0) & (rho < np.inf)):
-            raise ValueError(f"rho_expr {self.rho_expr!r} gives a density not finite and > 0")
+            raise ConfigError(f"rho_expr {self.rho_expr!r} gives a density not finite and > 0")
         return rho
 
     def pressure(self, rho: np.ndarray, gamma: float) -> np.ndarray:
@@ -176,20 +180,20 @@ class ProblemSpec:
         # it is also a `.summary` value, so one line with no key separator
         if (not isinstance(self.name, str) or self.name in ("", ".", "..")
                 or not self.name.isprintable() or any(ch in self.name for ch in "/\\=")):
-            raise ValueError(f"name must be a printable file name without '/', '\\' "
-                             f"or '=', got {self.name!r}")
+            raise ConfigError(f"name must be a printable file name without '/', '\\' "
+                              f"or '=', got {self.name!r}")
         if not (isinstance(self.domain, (tuple, list)) and len(self.domain) == 2):
-            raise ValueError(f"domain must be exactly two numbers, got {self.domain!r}")
+            raise ConfigError(f"domain must be exactly two numbers, got {self.domain!r}")
         lo, hi = (_number("", "domain", end) for end in self.domain)
         _number("", "t_end", self.t_end, 0.0)
         _number("", "gamma", self.gamma, 1.0)
         if self.center_energy is not None:
             _number("", "center_energy", self.center_energy, 0.0)
         if self.reference not in ("exact_riemann", "self_converged"):
-            raise ValueError(f"unknown reference kind {self.reference!r}")
+            raise ConfigError(f"unknown reference kind {self.reference!r}")
         ends = [lo, *(x for r in self.regions for x in (r.x_lo, r.x_hi)), hi]
         if not self.regions or ends[0::2] != ends[1::2]:   # (lo, x_lo), (x_hi, x_lo), ...
-            raise ValueError("regions must tile the domain without gaps")
+            raise ConfigError("regions must tile the domain without gaps")
 
     # -- initial data sampling ---------------------------------------------
 
@@ -230,20 +234,29 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemSpec":
-        """The spec a ``to_dict`` mapping describes; a key that names no field,
-        at any level, is a TypeError."""
-        domain = d["domain"]   # JSON gives a list; __post_init__ refuses any other form
-        return cls(**{**d, "domain": tuple(domain) if isinstance(domain, list) else domain,
-                      "regions": tuple(Region(**r) for r in d["regions"]),
-                      "bc_left": BoundaryCondition(**d["bc_left"]),
-                      "bc_right": BoundaryCondition(**d["bc_right"])})
+        """The spec a ``to_dict`` mapping describes; a key that names no field, a
+        missing field, or a part of the wrong form is a TypeError naming the field."""
+        def fields(name, part, kind=dict, form="an object"):   # part, if of its field's form
+            if not isinstance(part, kind):
+                raise TypeError(f"{name} must be {form}, got {reprlib.repr(part)}")
+            return part
+        nested = {"domain": lambda v: tuple(v) if isinstance(v, list) else v,   # JSON: a list
+                  "regions": lambda v: tuple(Region(**fields("each region", r))
+                                         for r in fields("regions", v, (list, tuple), "a list")),
+                  "bc_left": lambda v: BoundaryCondition(**fields("bc_left", v)),
+                  "bc_right": lambda v: BoundaryCondition(**fields("bc_right", v))}
+        return cls(**{k: nested.get(k, lambda v: v)(v) for k, v in fields("a spec", d).items()})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ProblemSpec":
-        return cls.from_dict(json.loads(text))
+        """The spec a JSON document describes; a malformed one is a ConfigError."""
+        try:   # a decode error is a ValueError, as is a ConfigError, which keeps its message
+            return cls.from_dict(json.loads(text))
+        except (ValueError, TypeError, RecursionError) as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 # -- the six benchmarks -----------------------------------------------------
@@ -323,10 +336,9 @@ PROBLEM_NAMES = tuple(_REGISTRY)
 
 
 def by_name(name: str) -> ProblemSpec:
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise ValueError(f"unknown problem {name!r}; known: {PROBLEM_NAMES}") from None
+    if name not in PROBLEM_NAMES:   # a tuple test: any value, hashable or not
+        raise ConfigError(f"unknown problem {name!r}; known: {PROBLEM_NAMES}")
+    return _REGISTRY[name]()
 
 
 # -- initial state construction ----------------------------------------------
@@ -342,9 +354,9 @@ def _symmetric_linspace(a: float, b: float, n_points: int) -> np.ndarray:
 
 
 def _formed(name: str, q: np.ndarray) -> np.ndarray:
-    """q, if every entry is finite and > 0; else a ValueError naming ``name``."""
+    """q, if every entry is finite and > 0; else a ConfigError naming ``name``."""
     if not np.all((q > 0.0) & (q < np.inf)):
-        raise ValueError(f"initial {name} must be finite and > 0 (an overflow or underflow)")
+        raise ConfigError(f"initial {name} must be finite and > 0 (an overflow or underflow)")
     return q
 
 
@@ -355,24 +367,24 @@ def build_initial(problem: ProblemSpec, n_cells: int, method: str):
 
     For an even cell count the deposit is split over the two central cells so
     mirror-symmetric data stays exactly symmetric. A quantity formed here from the
-    spec's data that overflows or underflows to 0 is a ValueError naming it.
+    spec's data that overflows or underflows to 0 is a ConfigError naming it.
     """
     if n_cells < 2:
-        raise ValueError(f"need at least 2 cells, got {n_cells}")
+        raise ConfigError(f"need at least 2 cells, got {n_cells}")
     if method not in ("sgh", "cch"):
-        raise ValueError(f"unknown state kind {method!r}")
-
-    node_x = _symmetric_linspace(*map(float, problem.domain), n_cells + 1)
-    rho, u, p = problem.primitives_at(0.5 * (node_x[:-1] + node_x[1:]))
-    grid = Mesh1D.from_nodes(node_x, rho)
-    for name, q in (("node ordering: cell width", grid.cell_volumes),
-                    ("cell_mass", grid.cell_mass), ("node_mass", grid.node_mass)):
-        if not np.all(q > 0.0):   # a domain too narrow for n_cells, or a mass underflow
-            raise ValueError(f"{name} must be strictly positive, got {np.min(q):g} "
-                             f"with {n_cells} cells on the domain {problem.domain}")
+        raise ConfigError(f"unknown state kind {method!r}")
 
     gas = IdealGas(problem.gamma)
-    with np.errstate(over="ignore"):   # each quantity is checked as it is formed
+    with np.errstate(over="ignore", invalid="ignore"):   # each quantity is checked as formed
+        node_x = _symmetric_linspace(*map(float, problem.domain), n_cells + 1)
+        rho, u, p = problem.primitives_at(0.5 * (node_x[:-1] + node_x[1:]))
+        grid = Mesh1D.from_nodes(node_x, rho)
+        for name, q in (("node ordering: cell width", grid.cell_volumes),
+                        ("cell_mass", grid.cell_mass), ("node_mass", grid.node_mass)):
+            bad = q[~((q > 0.0) & (q < np.inf))]   # a narrow domain, a mass under/overflow
+            if bad.size:
+                raise ConfigError(f"{name} must be strictly positive and finite, got {bad[0]:g} "
+                                  f"with {n_cells} cells on the domain {problem.domain}")
         eps = gas.internal_energy(rho, p)
         if problem.center_energy is not None:
             half = n_cells // 2
@@ -431,14 +443,14 @@ def reference(problem: ProblemSpec, t: float, n_reference: int = 3200):
 
 def _build_reference(problem: ProblemSpec, t: float, n_reference: int):
     if not 0.0 <= t <= problem.t_end * (1.0 + 1e-12):
-        raise ValueError(f"reference time t={t} outside [0, t_end={problem.t_end}]")
+        raise ConfigError(f"reference time t={t} outside [0, t_end={problem.t_end}]")
     if problem.center_energy is not None and (t == 0.0 or problem.reference == "exact_riemann"):
-        raise ValueError(f"{problem.name}: the center_energy deposit depends on N, so neither an "
-                         f"exact_riemann reference nor the initial data at t = 0 carries it")
+        raise ConfigError(f"{problem.name}: the center_energy deposit depends on N, so neither an "
+                          f"exact_riemann reference nor the initial data at t = 0 carries it")
     if problem.reference == "exact_riemann" and (
             len(problem.regions) != 2 or any(r.rho_expr for r in problem.regions)):
-        raise ValueError(f"{problem.name}: an exact_riemann reference needs two regions "
-                         f"of constant density")
+        raise ConfigError(f"{problem.name}: an exact_riemann reference needs two regions "
+                          f"of constant density")
     if problem.reference == "self_converged" and t > 0.0:
         centers, fields = _self_reference_run(problem, t, n_reference)
         return lambda x: {f: np.interp(x, centers, v) for f, v in fields.items()}

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverFailure
+
 __all__ = ["PrimitiveState", "RiemannSolution", "solve"]
 
 
@@ -134,7 +136,7 @@ class RiemannSolution:
 def solve(left: PrimitiveState, right: PrimitiveState, gamma: float) -> RiemannSolution:
     """Exact star state of the Riemann problem (left | right).
 
-    Raises RuntimeError with the residual if Newton fails to converge within
+    Raises SolverFailure with the residual if Newton fails to converge within
     ``_MAX_ITER`` iterations.
     """
     cl = left.sound_speed(gamma)
@@ -161,7 +163,7 @@ def solve(left: PrimitiveState, right: PrimitiveState, gamma: float) -> RiemannS
         change = abs(p_new - p) / max(p_new, 1e-300)
         p = p_new
     else:
-        raise RuntimeError(
+        raise SolverFailure(
             f"Riemann pressure iteration failed after {_MAX_ITER} iterations, "
             f"residual {abs(f):.3e}")
     u_star = 0.5 * (left.u + right.u) + 0.5 * (fr - fl)

@@ -76,9 +76,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="cch_solver"):
             uh.RunConfig(problem="sod", cch_solver="hll")
 
-    def test_unresolvable_problem(self):
-        with pytest.raises(ConfigError, match="cannot resolve problem"):
-            uh.run(uh.RunConfig(problem=5))
+    @pytest.mark.parametrize("problem", [5, ["sod"], None])
+    def test_unresolvable_problem(self, problem):
+        with pytest.raises(ConfigError, match="unknown problem"):
+            uh.run(uh.RunConfig(problem=problem))
 
     def test_problem_resolution_from_json(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -186,6 +187,14 @@ class TestRun:
         _, first, _ = cch.step(state, mesh, IdealGas(problem.gamma), dt,
                                problem.bc_left, problem.bc_right)
         assert err.value.cell == int(np.argmin(first.rho)) != int(np.argmin(first.eps))
+
+    @pytest.mark.parametrize("t_end", [5e-14, 1e-15])
+    def test_run_ends_at_a_tiny_t_end(self, t_end):
+        """The loop's stopping tolerance is relative to t_end, so a run to an end
+        time far below 1 reaches it rather than stopping short or taking no step."""
+        result = uh.run(uh.RunConfig(problem="sod", n_cells=10, t_end=t_end))
+        assert result.steps > 0
+        assert abs(result.t_final - t_end) <= 1e-14 * t_end
 
     def test_snapshots_written(self, tmp_path):
         out = str(tmp_path / "snaps")
@@ -515,6 +524,15 @@ class TestCommandLine:
         (lambda spec: spec.update(t_end=0.0), "t_end must be a number in (0, inf)"),
         (lambda spec: spec.update(reference="exact"), "unknown reference kind"),
         (lambda spec: spec["regions"][0].update(x_lo=0.1), "regions must tile the domain"),
+        (lambda spec: spec.update(regions=5), "regions must be a list"),
+        (lambda spec: spec.update(regions=["a"]), "each region must be an object"),
+        (lambda spec: spec.update(bc_left="wall"), "bc_left must be an object"),
+        (lambda spec: spec.pop("domain"), "argument: 'domain'"),
+        (lambda spec: spec["regions"][1].pop("rho"), "argument: 'rho'"),
+        (lambda spec: spec.update(domain=[0.0, 1e10], bc_left={"kind": "wall"},
+                                  regions=[dict(spec["regions"][0], x_hi=1e10, rho=1e300)],
+                                  bc_right={"kind": "wall"}),
+         "cell_mass must be strictly positive and finite, got inf"),
     ], ids=["unknown_region_key", "gamma_one", "negative_density", "negative_density_expr",
             "kinetic_energy_overflow", "negative_center_energy", "nan_center_energy",
             "zero_center_energy", "unknown_top_level_key",
@@ -523,7 +541,9 @@ class TestCommandLine:
             "wall_with_value", "transmissive_with_value", "true_t_end", "true_center_energy",
             "true_domain_end", "true_region_density", "false_boundary_velocity",
             "zero_pressure", "zero_internal_energy", "overflowing_internal_energy",
-            "zero_t_end", "unknown_reference_kind", "regions_short_of_left_end"])
+            "zero_t_end", "unknown_reference_kind", "regions_short_of_left_end",
+            "regions_not_a_list", "region_not_an_object", "boundary_not_an_object",
+            "missing_domain", "missing_region_density", "overflowing_cell_mass"])
     def test_bad_spec_file_is_config_error(self, tmp_path, capsys, edit, named):
         spec = uh.sod().to_dict()
         edit(spec)

@@ -7,7 +7,7 @@ import pytest
 
 import unihydro as uh
 from unihydro.eos import IdealGas
-from unihydro.errors import MeshTangled, SolverFailure
+from unihydro.errors import ConfigError, MeshTangled, SolverFailure
 from unihydro.mesh import Mesh1D, _greatest, _least, cell_thermo, update_geometry
 from unihydro.problems import BoundaryCondition, ProblemSpec, Region, build_initial
 
@@ -98,6 +98,15 @@ class TestBuild:
         tiny = spec(Region(0.0, 1e-300, rho=1e-30, u=0.0, p=1.0), domain=(0.0, 1e-300))
         with pytest.raises(ValueError, match="cell_mass must be strictly positive"):
             build_initial(tiny, 2, "cch")
+
+    @pytest.mark.parametrize("domain", [(0.0, 1e10), (-1e308, 1e308)],
+                             ids=["overflowing_mass", "overflowing_width"])
+    def test_rejects_overflowing_mesh(self, domain):
+        """A cell mass or width that overflows to inf is refused, with no
+        RuntimeWarning, before any state is formed from it."""
+        wide = spec(Region(*domain, rho=1e300, u=0.0, p=1.0), domain=domain)
+        with pytest.raises(ConfigError, match="strictly positive and finite, got (inf|nan)"):
+            build_initial(wide, 10, "cch")
 
     def test_rejects_nodes_out_of_order(self):
         """Subnormal node spacing rounds some cells to zero width."""

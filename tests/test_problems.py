@@ -9,6 +9,7 @@ import pytest
 import unihydro as uh
 from unihydro import problems
 from unihydro.eos import IdealGas
+from unihydro.errors import ConfigError
 from unihydro.mesh import CchState, Mesh1D, SghState
 from unihydro.problems import (PROBLEM_NAMES, BoundaryCondition, ProblemSpec, Region,
                                build_initial, by_name, exact_riemann_star,
@@ -396,7 +397,7 @@ def sod_dict_with(owner: str, name: str, value) -> dict:
 
 class TestNumberRule:
     """Every spec number is a real number, not a bool, inside its field's range,
-    or ``from_dict`` raises a ValueError that names the field."""
+    or ``from_dict`` raises a ConfigError (a ValueError) that names the field."""
 
     def test_fields_found(self):
         assert {name for _, name in NUMBER_FIELDS} == {
@@ -408,8 +409,16 @@ class TestNumberRule:
     @pytest.mark.parametrize("owner, name", NUMBER_FIELDS,
                              ids=[f"{owner}.{name}" for owner, name in NUMBER_FIELDS])
     def test_every_number_field_refuses_what_is_no_number(self, owner, name, value):
-        with pytest.raises(ValueError, match=rf"\b{name} must be a number"):
+        with pytest.raises(ConfigError, match=rf"\b{name} must be a number"):
             ProblemSpec.from_dict(sod_dict_with(owner, name, value))
+
+    @pytest.mark.parametrize("owner, name", NUMBER_FIELDS,
+                             ids=[f"{owner}.{name}" for owner, name in NUMBER_FIELDS])
+    def test_a_long_number_is_cut_short(self, owner, name):
+        """A 401-digit integer is named in one line of readable length."""
+        with pytest.raises(ConfigError, match=rf"\b{name} must be a number") as error:
+            ProblemSpec.from_dict(sod_dict_with(owner, name, 10 ** 400))
+        assert len(str(error.value)) < 200 and "\n" not in str(error.value)
 
     @pytest.mark.parametrize("domain", ["1", [1], True, float("nan"), 10 ** 400, [0, 0.5, 1]],
                              ids=["string", "one_end", "true", "nan", "big_int", "three_ends"])
@@ -426,6 +435,31 @@ class TestNumberRule:
         for value in ("1", True, 10 ** 400):
             with pytest.raises(ValueError, match="boundary value must be a number"):
                 make(value)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda spec: spec.update(regions=5), "regions must be a list, got 5"),
+        (lambda spec: spec.update(regions={"x_lo": 0.0}), "regions must be a list"),
+        (lambda spec: spec.update(regions=["a"]), "each region must be an object, got 'a'"),
+        (lambda spec: spec.update(bc_right=["wall"]), "bc_right must be an object"),
+        (lambda spec: spec.pop("t_end"), "missing 1 required positional argument: 't_end'"),
+        (lambda spec: spec["bc_left"].pop("kind"), "argument: 'kind'"),
+    ], ids=["regions_int", "regions_object", "region_string", "boundary_list",
+            "missing_t_end", "missing_boundary_kind"])
+    def test_malformed_structure_names_the_field(self, edit, message):
+        """``from_dict`` raises a TypeError naming the field; ``from_json``
+        passes its message on as a ConfigError."""
+        spec = json.loads(uh.sod().to_json())
+        edit(spec)
+        with pytest.raises(TypeError, match=message):
+            ProblemSpec.from_dict(spec)
+        with pytest.raises(ConfigError, match=message):
+            ProblemSpec.from_json(json.dumps(spec))
+
+    @pytest.mark.parametrize("text", ["[1]", "{", "[" * 100_000, '{"t_end": 1' + "0" * 5000 + "}"],
+                             ids=["not_an_object", "not_json", "too_deep", "too_many_digits"])
+    def test_malformed_document_is_config_error(self, text):
+        with pytest.raises(ConfigError):
+            ProblemSpec.from_json(text)
 
     def test_numpy_and_int_numbers_pass(self):
         spec = replace(uh.sod(), t_end=np.int64(1), gamma=np.float32(1.5), domain=(0, 1))

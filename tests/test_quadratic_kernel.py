@@ -234,9 +234,11 @@ def test_expanding_equal_density_and_rejected_nodes():
 
 
 def test_non_finite_coefficients_raise():
+    """A non-finite coefficient is a SolverFailure at the cell left of its node."""
     one = np.ones(2)
-    with pytest.raises(FloatingPointError, match="non-finite"):
+    with pytest.raises(uh.SolverFailure, match="non-finite") as failure:
         quadratic(one, one, one, np.array([1.0, np.inf]), one, one, one, one, one)
+    assert failure.value.cell == 1
 
 
 _rho = st.floats(0.01, 100.0)
