@@ -60,9 +60,9 @@ class ConservationLedger:
 
     @classmethod
     def open(cls, mesh: Mesh1D, state) -> "ConservationLedger":
-        work = (np.empty(mesh.n_cells), np.empty(mesh.n_cells + 1))
+        work = (np.empty((2, mesh.n_cells)), np.empty(mesh.n_cells + 1))
         m = float(_sum(mesh.cell_mass))
-        p, e = state.total_momentum(mesh, work), state.total_energy(mesh, work)
+        p, e = state.totals(mesh, work)
         ledger = cls(mass0=m, momentum0=p, energy0=e, mass=m, momentum=p, energy=e,
                      work=work, cell_mass=mesh.cell_mass)
         ledger._fold(state.max_speed)
@@ -113,8 +113,7 @@ def audit_step(ledger: ConservationLedger, mesh: Mesh1D, state,
     else:
         mass = float(_sum(masses))
     ledger.mass = mass
-    ledger.momentum = state.total_momentum(mesh, ledger.work)
-    ledger.energy = state.total_energy(mesh, ledger.work)
+    ledger.momentum, ledger.energy = state.totals(mesh, ledger.work)
     ledger.steps += 1
     ledger._fold(state.max_speed)
     mass_drift = mass - ledger.mass0

@@ -3,20 +3,32 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = ["IdealGas"]
 
 
-def ideal_pressure(gamma: float, rho, eps):  # unchecked; IdealGas.pressure checks
-    p = np.multiply(gamma - 1.0, rho)   # (gamma - 1) rho eps, the product formed in place
+def constant(x: float) -> np.ndarray:
+    """x as a read-only 0-d float array. A ufunc call with it as an operand gives the
+    bits it gives with the Python float, and costs about 0.2 us less at N = 100."""
+    a = np.array(x, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+HALF, ZERO = constant(0.5), constant(0.0)   # the constants of the per-step ufunc calls
+
+
+def ideal_pressure(gas: "IdealGas", rho, eps):  # unchecked; IdealGas.pressure checks
+    p = np.multiply(gas.factors[1], rho)   # (gamma - 1) rho eps, the product formed in place
     p *= eps
     return p
 
 
-def ideal_sound_speed(gamma: float, rho, p):  # unchecked; IdealGas.sound_speed checks
-    return np.sqrt(gamma * p / rho)
+def ideal_sound_speed(gas: "IdealGas", rho, p):  # unchecked; IdealGas.sound_speed checks
+    return np.sqrt(gas.factors[0] * p / rho)
 
 
 @dataclass(frozen=True)
@@ -34,6 +46,12 @@ class IdealGas:
         if not np.isfinite(g) or g <= 1.0:
             raise ValueError(f"adiabatic index must be finite and > 1, got {g}")
 
+    @cached_property
+    def factors(self) -> tuple:
+        """(gamma, gamma - 1, k = (gamma + 1)/2), each a ``constant``."""
+        g = self.gamma
+        return constant(g), constant(g - 1.0), constant(0.5 * (g + 1.0))
+
     def pressure(self, rho, eps):
         """Pressure from density and specific internal energy."""
         rho = np.asarray(rho, dtype=float)
@@ -42,7 +60,7 @@ class IdealGas:
             raise ValueError("non-finite input to pressure()")
         if np.any(rho <= 0.0):
             raise ValueError("unphysical state: rho <= 0")
-        return ideal_pressure(self.gamma, rho, eps)
+        return ideal_pressure(self, rho, eps)
 
     def internal_energy(self, rho, p):
         """Specific internal energy from density and pressure."""
@@ -60,4 +78,4 @@ class IdealGas:
             raise ValueError("non-finite input to sound_speed()")
         if np.any(rho <= 0.0) or np.any(p < 0.0):
             raise ValueError("unphysical state: rho <= 0 or p < 0")
-        return ideal_sound_speed(self.gamma, rho, p)
+        return ideal_sound_speed(self, rho, p)

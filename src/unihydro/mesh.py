@@ -65,6 +65,13 @@ class Mesh1D:
     def cell_volumes(self) -> np.ndarray:
         return _frozen(self.node_x[1:] - self.node_x[:-1])
 
+    @cached_property  # read-only, once per run: update_geometry passes it on
+    def cell_mass_pair(self) -> np.ndarray:
+        """(2, N): ``cell_mass`` in both rows, the masses of the rows of ``CchState.uE``:
+        the ledger's product with a (N,) operand broadcast over two rows takes numpy's
+        buffered iterator, twice as slow at N = 100, with a buffer of 2 N floats."""
+        return _frozen(np.array((self.cell_mass, self.cell_mass)))
+
     @property
     def cell_centers(self) -> np.ndarray:
         return 0.5 * (self.node_x[:-1] + self.node_x[1:])
@@ -109,61 +116,77 @@ class SghState:
         jumps = np.subtract(self.node_u[1:], self.node_u[:-1], workspace.cells[0])
         return np.abs(jumps, jumps)
 
-    # The totals form their products in ``work``, buffers of N and N + 1 (cells, nodes).
-    def total_momentum(self, mesh: Mesh1D, work) -> float:
-        return float(_sum(np.multiply(mesh.node_mass, self.node_u, work[1])))
-
-    def total_energy(self, mesh: Mesh1D, work) -> float:
-        internal = float(_sum(np.multiply(mesh.cell_mass, self.eps, work[0])))
-        kinetic = np.square(self.node_u, work[1])
-        return internal + 0.5 * float(_sum(np.multiply(mesh.node_mass, kinetic, kinetic)))
+    def totals(self, mesh: Mesh1D, work) -> tuple[float, float]:
+        """(momentum, energy), the products formed in ``work``: a (2, N) and an N + 1 buffer."""
+        cells, nodes = work
+        momentum = float(_sum(np.multiply(mesh.node_mass, self.node_u, nodes)))
+        internal = float(_sum(np.multiply(mesh.cell_mass, self.eps, cells[0])))
+        kinetic = np.square(self.node_u, nodes)
+        return momentum, internal + 0.5 * float(_sum(np.multiply(mesh.node_mass, kinetic, kinetic)))
 
 
 @dataclass(eq=False)
 class CchState:
-    """Cell-centered conserved fields; eps = E - u^2/2 is kept consistent."""
+    """Cell-centered conserved fields; eps = E - u^2/2 is kept consistent. The
+    velocity u and the specific total energy E are the two rows of ``uE``, so the
+    conservative update and the ledger take one 2-D pass for both."""
 
     rho: np.ndarray
-    u: np.ndarray
-    E: np.ndarray       # specific total energy
+    uE: np.ndarray      # (2, N): u and E
     eps: np.ndarray
     p: np.ndarray
     c: np.ndarray
 
     @property
+    def u(self) -> np.ndarray:
+        return self.uE[0]
+
+    @property
+    def E(self) -> np.ndarray:
+        return self.uE[1]
+
+    @property
     def cell_u(self) -> np.ndarray:
-        return self.u
+        return self.uE[0]
 
     @property
     def max_speed(self) -> float:
-        return _largest_magnitude(self.u)
+        return _largest_magnitude(self.uE[0])
 
     def velocity_jumps(self, workspace) -> np.ndarray:
         """Largest velocity jump to either neighbor, per cell, written into the
         first ``cells`` buffer of ``workspace`` (the first ``faces`` buffer holds
         the jumps per face)."""
-        d, jumps = np.subtract(self.u[1:], self.u[:-1], workspace.faces[0]), workspace.cells[0]
+        u = self.uE[0]
+        d, jumps = np.subtract(u[1:], u[:-1], workspace.faces[0]), workspace.cells[0]
         np.abs(d, d)
         jumps[0], jumps[-1] = d[0], d[-1]
         np.maximum(d[:-1], d[1:], out=jumps[1:-1])
         return jumps
 
-    def total_momentum(self, mesh: Mesh1D, work) -> float:
-        return float(_sum(np.multiply(mesh.cell_mass, self.u, work[0])))
-
-    def total_energy(self, mesh: Mesh1D, work) -> float:
-        return float(_sum(np.multiply(mesh.cell_mass, self.E, work[0])))
+    def totals(self, mesh: Mesh1D, work) -> tuple[float, float]:
+        """(momentum, energy): one product into the (2, N) buffer ``work[0]`` and one
+        row-sum, each row summed pairwise as a 1-D sum would be."""
+        products = np.multiply(mesh.cell_mass_pair, self.uE, work[0])
+        momentum, energy = _sum(products, axis=1).tolist()
+        return momentum, energy
 
 
 class Workspace:
-    """The float buffers a run's steps reuse for every temporary: twelve ``faces``
-    of N - 1 (the interior nodes), four ``cells`` of N and two ``nodes`` of N + 1.
-    A run's one (``cli.run``'s, or a stepper's given none) is the only scratch of the
-    steppers, the dt rule and all below them; no array a caller keeps lives here."""
+    """The float buffers a run's steps reuse for every temporary: ``faces``, fourteen
+    of N - 1 (the interior nodes: the nodal solve's), ``cells``, six of N (the last
+    two hold rho c and k rho for the nodal solve), and ``nodes``, two of N + 1. The
+    faces are the rows of one array, made here once (a row view costs 0.1 us,
+    unpacking rows of a 2-D array 0.6 us each), and ``face_pairs`` holds its
+    neighbouring rows (0 and 1, 2 and 3, ...) as (2, N - 1) arrays, for an
+    operation on two rows at once. A run's one (``cli.run``'s, or a stepper's given
+    none) is the only scratch of the steppers, the dt rule and all below them; no
+    array a caller keeps lives here."""
 
     def __init__(self, n_cells: int):
-        self.faces = [np.empty(n_cells - 1) for _ in range(12)]
-        self.cells = [np.empty(n_cells) for _ in range(4)]
+        faces = np.empty((14, n_cells - 1))
+        self.faces, self.face_pairs = list(faces), list(faces.reshape(7, 2, -1))
+        self.cells = [np.empty(n_cells) for _ in range(6)]
         self.nodes = [np.empty(n_cells + 1) for _ in range(2)]
 
 
@@ -174,10 +197,10 @@ def cell_thermo(gas: IdealGas, rho, eps, floors=(0.0, 0.0)):
     is the test that eps and rho are also finite. Only when it fails do the
     exact checks run, to name the first failure's cell."""
     rho, eps = np.asarray(rho, dtype=float), np.asarray(eps, dtype=float)
-    p = ideal_pressure(gas.gamma, rho, eps)
+    p = ideal_pressure(gas, rho, eps)
     if (_least(eps) > max(floors[0], 0.0) and _least(rho) > max(floors[1], 0.0)
             and _greatest(p) < np.inf):
-        return p, ideal_sound_speed(gas.gamma, rho, p)
+        return p, ideal_sound_speed(gas, rho, p)
     for bad, reason, field in ((~np.isfinite(eps), "non-finite internal energy", None),
                                (eps <= 0.0, "nonpositive internal energy", eps),
                                (~np.isfinite(rho), "non-finite density", None),
@@ -202,5 +225,5 @@ def update_geometry(mesh: Mesh1D, u_star: np.ndarray, dt: float) -> Mesh1D:
     new_x.setflags(write=False)
     volumes.setflags(write=False)
     moved = Mesh1D(new_x, mesh.cell_mass, mesh.node_mass)   # the masses are shared
-    moved.cell_volumes = volumes
+    moved.cell_volumes, moved.cell_mass_pair = volumes, mesh.cell_mass_pair
     return moved

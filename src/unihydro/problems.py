@@ -395,7 +395,8 @@ def build_initial(problem: ProblemSpec, n_cells: int, method: str):
             p = _formed("pressure", gas.pressure(rho, eps))
         c = _formed("sound speed", gas.sound_speed(rho, p))
         if method == "cch":   # SGH carries no total energy
-            return grid, CchState(rho, u, _formed("total energy", eps + 0.5 * u ** 2), eps, p, c)
+            total = _formed("total energy", eps + 0.5 * u ** 2)
+            return grid, CchState(rho, np.array((u, total)), eps, p, c)
     return grid, SghState(problem.velocity_at_nodes(node_x), rho, eps, p, c)
 
 
@@ -457,8 +458,12 @@ def _build_reference(problem: ProblemSpec, t: float, n_reference: int):
     primitives = problem.primitives_at
     if t > 0.0:
         x0 = problem.regions[0].x_hi
-        fan = exact_riemann_star(*np.transpose(primitives([problem.domain[0], x0])).tolist(),
-                                 problem.gamma)
+        with np.errstate(over="ignore", invalid="ignore"):   # checked as formed
+            states = np.transpose(primitives([problem.domain[0], x0]))
+        if not np.isfinite(states).all():   # a pressure rho e that overflows
+            raise ConfigError(f"{problem.name}: the (rho, u, p) of both regions must be finite "
+                              f"for an exact_riemann reference, got {states.tolist()}")
+        fan = exact_riemann_star(*states.tolist(), problem.gamma)
         primitives = lambda x: fan.sample((x - x0) / t)
 
     def profiles(x):

@@ -18,7 +18,7 @@ import numpy as np
 from . import closure
 from . import mesh as mesh_mod
 from .diagnostics import BoundaryFlux, entropy_production_sgh
-from .eos import IdealGas
+from .eos import HALF, IdealGas
 from .mesh import Mesh1D, SghState
 from .problems import BoundaryCondition
 
@@ -86,23 +86,25 @@ def step(state: SghState, mesh: Mesh1D, gas: IdealGas, dt: float,
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     t0, t1, p_mean = (workspace or mesh_mod.Workspace(len(state.rho))).cells[:3]
+    k = gas.factors[2]
     u_n, m_node, m_cell = state.node_u, mesh.node_mass, mesh.cell_mass
     work, p_pred = state, None
     for pass_floors in (floors,) if mode == "predictor_only" else ((0.0, 0.0), floors):
         du = work.node_u[1:] - work.node_u[:-1]
-        p_star = closure.sgh_star_pressure(work.rho, work.c, work.p, du, gas.gamma, (t0, t1))
+        p_star = closure.sgh_star_pressure(work.rho, work.c, work.p, du, k, (t0, t1))
         if p_pred is None:
             du_pred, p_pred, p_cell = du, p_star, state.p
         else:   # the corrector: the two passes' average pressure acts in every update
-            p_star = np.multiply(0.5, np.add(p_star, p_pred, p_star), p_star)
-            p_cell = np.multiply(0.5, np.add(work.p, state.p, p_mean), p_mean)
+            p_star = np.multiply(HALF, np.add(p_star, p_pred, p_star), p_star)
+            p_cell = np.multiply(HALF, np.add(work.p, state.p, p_mean), p_mean)
         p_bnd_l = _ghost_pressure(bc_left, p_star[0])
         p_bnd_r = _ghost_pressure(bc_right, p_star[-1])
         u_star = np.empty(len(u_n))   # first the force on each dual cell; the ends see the ghosts
         u_star[0], u_star[-1] = p_bnd_l - p_star[0], p_star[-1] - p_bnd_r
         np.subtract(p_star[:-1], p_star[1:], out=u_star[1:-1])
         np.add(u_n, np.multiply(0.5 * dt, np.divide(u_star, m_node, u_star), u_star), u_star)
-        u_new = np.multiply(2.0, u_star)   # u* = u^n + 0.5 dt (force / m), u_new = 2 u* - u^n
+        u_new = np.add(u_star, u_star)   # u* = u^n + 0.5 dt (force / m), u_new = 2 u* - u^n
+        # (u* + u* is 2 u* exactly, with no constant operand)
         u_new -= u_n
         if bc_left.velocity is not None:
             u_star[0] = u_new[0] = bc_left.velocity

@@ -5,14 +5,18 @@ gas through a reference state, the quadratic Taylor expansion of pressure in
 the specific-volume change that the closure is built on (it touches both
 curves to second order), two measures of a computed profile (where it
 crosses a level and how many prominent peaks it has), a separate sampler
-of the exact Riemann fan for states that open a vacuum, and the buffers of a
-nodal solve. The package needs none of them to run.
+of the exact Riemann fan for states that open a vacuum, the buffers and face-array
+forms of the nodal solves, and a counter of the ufunc calls a run makes. The package needs
+none of them to run.
 """
 
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from unihydro import cli, closure, problems
 from unihydro.eos import IdealGas
 from unihydro.mesh import Workspace
 
@@ -154,7 +158,116 @@ def sample_vacuum(solution, s: float):
 
 
 def solve_buffers(n_nodes: int) -> dict:
-    """``out`` and ``scratch`` of ``closure.solve_nodes`` for ``n_nodes`` nodes,
-    from the faces of two fresh ``mesh.Workspace``s: one solve's own buffers."""
+    """``out`` and ``workspace`` of ``closure.solve_nodes`` for ``n_nodes`` nodes,
+    from two fresh ``mesh.Workspace``s: one solve's own buffers."""
     out = (*Workspace(n_nodes + 1).faces[:3], np.empty(n_nodes, np.int8))
-    return {"out": out, "scratch": Workspace(n_nodes + 1).faces}
+    return {"out": out, "workspace": Workspace(n_nodes + 1)}
+
+
+def _faces(*arrays):
+    return tuple(np.atleast_1d(np.asarray(a, dtype=float)) for a in arrays)
+
+
+def face_solve(rl, cl, pl, ul, rr, cr, pr, ur, gamma=1.4, solver="quadratic"):
+    """``closure.solve_nodes`` on face arrays of rho, c, p and u, with z = rho c,
+    k rho and k formed as ``cch.solve_all_nodes`` forms them, into fresh buffers."""
+    rl, cl, pl, ul, rr, cr, pr, ur = _faces(rl, cl, pl, ul, rr, cr, pr, ur)
+    k = IdealGas(gamma).factors[2]
+    return closure.solve_nodes(rl * cl, k * rl, cl, pl, ul, rr * cr, k * rr, cr, pr, ur, k,
+                               solver, **solve_buffers(len(rl)))
+
+
+def _sums(pl, ul, pr, ur, zl, zr):
+    return closure._node_sums(pl, ul, pr, ur, zl, zr, [np.empty(len(pl)) for _ in range(4)])
+
+
+def acoustic_solve(rl, cl, pl, ul, rr, cr, pr, ur):
+    """(u*, p*) of ``closure._acoustic_kernel`` on face arrays, in fresh arrays."""
+    rl, cl, pl, ul, rr, cr, pr, ur = _faces(rl, cl, pl, ul, rr, cr, pr, ur)
+    zl, zr = rl * cl, rr * cr
+    return closure._acoustic_kernel(zl, pl, ul, zr, pr, ur, _sums(pl, ul, pr, ur, zl, zr),
+                                    [np.empty(len(rl)) for _ in range(3)])
+
+
+def two_shock_solve(rl, cl, pl, ul, rr, cr, pr, ur, gamma=1.4):
+    """(u*, p*) of ``closure._two_shock_kernel`` on face arrays, from the acoustic
+    guess and k rho d0 formed as ``closure.solve_nodes`` forms them."""
+    rl, cl, pl, ul, rr, cr, pr, ur = _faces(rl, cl, pl, ul, rr, cr, pr, ur)
+    k = 0.5 * (gamma + 1.0)
+    u_ac, _ = acoustic_solve(rl, cl, pl, ul, rr, cr, pr, ur)
+    zl, zr = rl * cl, rr * cr
+    kd = np.array(((k * rl) * (u_ac - ul), (k * rr) * (ur - u_ac)))
+    return closure._two_shock_kernel(zl, pl, ul, zr, pr, ur, kd,
+                                     _sums(pl, ul, pr, ur, zl, zr)[:3],
+                                     [np.empty(len(rl)) for _ in range(3)])
+
+
+class _Counted(np.ndarray):
+    """An ndarray whose ufunc calls are counted: a call with an operand, an
+    ``out`` or a ``where`` of this class, operators and in-place operators
+    included, adds one to ``calls`` under (ufunc name, method) and gives its
+    new arrays this class too, so every array a run derives from its initial
+    state and buffers is counted."""
+
+    calls = None   # the Counter of the open ``ufunc_calls`` block
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Counted.calls[ufunc.__name__, method] += 1
+        plain = [_plain(x) for x in inputs]
+        out = kwargs.get("out")
+        kwargs = {key: (tuple(map(_plain, v)) if key == "out" else _plain(v))
+                  for key, v in kwargs.items()}
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return tuple(map(_counted, result)) if isinstance(result, tuple) else _counted(result)
+
+
+def _plain(x):
+    return x.view(np.ndarray) if isinstance(x, _Counted) else x
+
+
+def _counted(x):
+    return x.view(_Counted) if type(x) is np.ndarray else x
+
+
+# numpy functions whose plain ndarray results the library goes on to compute with
+_MAKERS = ("empty", "asarray", "where")
+
+
+@contextmanager
+def ufunc_calls():
+    """A Counter of the ufunc calls, by (ufunc name, method), of every run
+    ``cli.run`` makes inside the block. The initial mesh and state of each run,
+    and the arrays ``numpy.empty``, ``numpy.asarray`` and ``numpy.where`` make,
+    are counted arrays (``_Counted``); arrays that never meet one, and numpy
+    scalars, are not counted. The count is deterministic."""
+    calls, build = Counter(), problems.build_initial
+    saved = {name: getattr(np, name) for name in _MAKERS}
+
+    def counted_maker(make):
+        return lambda *args, **kwargs: _counted(make(*args, **kwargs))
+
+    def counted_build(*args, **kwargs):
+        mesh, state = build(*args, **kwargs)
+        mesh = type(mesh)(*(_counted(a) for a in (mesh.node_x, mesh.cell_mass, mesh.node_mass)))
+        return mesh, type(state)(**{key: _counted(a) for key, a in vars(state).items()})
+
+    _Counted.calls = calls
+    problems.build_initial = counted_build
+    for name, make in saved.items():
+        setattr(np, name, counted_maker(make))
+    try:
+        yield calls
+    finally:
+        _Counted.calls = None
+        problems.build_initial = build
+        for name, make in saved.items():
+            setattr(np, name, make)
+
+
+def run_ufunc_calls(config) -> tuple[int, Counter]:
+    """(steps, ufunc calls by (name, method)) of ``cli.run(config)``."""
+    with ufunc_calls() as calls:
+        result = cli.run(config)
+    return result.steps, calls

@@ -14,12 +14,11 @@ import unihydro as uh
 from unihydro import diagnostics as diag
 from unihydro import problems as problems_mod
 from unihydro import sgh
-from unihydro.closure import solve_nodes
 from unihydro.eos import IdealGas
 from unihydro.riemann import PrimitiveState, solve as riemann_solve
 
 from oracles import (ThermoState, count_extrema, crossing_position, hugoniot_pressure,
-                     isentrope_pressure, solve_buffers, taylor_pressure)
+                     isentrope_pressure, face_solve, taylor_pressure)
 
 METHODS = ("sgh", "cch")
 MATRIX_CELLS = {"sod": 100, "lax": 100, "double_rarefaction": 100,
@@ -302,8 +301,7 @@ def test_shock_density_wave_convergence_and_extrema(shu_osher_reference):
 def nodal_star(left, right, solver="quadratic"):
     """(u*, p* left side, p* right side) of ``solve_nodes`` at one node between
     two (rho, c, p, u) faces."""
-    arrays = (np.array([v], dtype=float) for v in (*left, *right))
-    return tuple(a[0].item() for a in solve_nodes(*arrays, 1.4, solver, **solve_buffers(1))[:3])
+    return tuple(a[0].item() for a in face_solve(*left, *right, 1.4, solver)[:3])
 
 
 NOH = problems_mod.ProblemSpec(

@@ -62,7 +62,7 @@ def test_quadratic_kernel_counter_contract(monkeypatch):
     problem = problems.by_name("sod")
     _, state = problems.build_initial(problem, 10, "cch")
     cch.solve_all_nodes(state, IdealGas(problem.gamma), problem.bc_left, problem.bc_right,
-                        scratch=Workspace(10).faces)
+                        workspace=Workspace(10))
     (args, result), = calls
     mask = result[3]
     assert mask.dtype == np.bool_

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -578,6 +579,27 @@ class TestCommandLine:
         assert cli.main([command, "--problem", f"@{path}", *required]) == 3
         assert "exact_riemann reference" in capsys.readouterr().err
         assert not (tmp_path / "ref.csv").exists()
+
+    @pytest.mark.parametrize("command", ["reference", "converge"])
+    def test_exact_fan_of_an_overflowing_pressure_is_config_error(self, tmp_path, capsys,
+                                                                  monkeypatch, command):
+        """A region given by ``e`` whose pressure (gamma - 1) rho e overflows has no
+        exact fan: both commands exit 3 before a run starts, with no warning from
+        the sampling or the Riemann solver, and write no file."""
+        spec = uh.sod().to_dict()
+        spec["regions"] = [{"x_lo": 0.0, "x_hi": 0.5, "rho": 1e300, "u": 0.0, "e": 1e300},
+                           spec["regions"][1]]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a run started"))
+        out = tmp_path / "out"
+        required = {"reference": ["--t", "0.1", "--points", "5", "--out", str(out)],
+                    "converge": ["--cells", "10", "--out", str(out)]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--problem", f"@{path}", *required]) == 3
+        assert "must be finite for an exact_riemann reference" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["converge", "--problem", "sedov", "--cells", "50,100", "--t-end", "0"],

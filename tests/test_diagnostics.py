@@ -158,7 +158,7 @@ class TestEntropyProduction:
         # (p - p*) du with p* = p + z|du| + k rho du^2 at du = -0.1:
         # 0.1*0.1 + 1.2*0.001 = 0.0112
         from unihydro.closure import sgh_star_pressure
-        p_star = sgh_star_pressure(1.0, 1.0, 1.0, -0.1, 1.4, Workspace(2).faces[:2])
+        p_star = sgh_star_pressure(1.0, 1.0, 1.0, -0.1, 1.2, Workspace(2).faces[:2])
         got = diag.entropy_production_sgh(1.0, p_star, -0.1)
         assert got == pytest.approx(0.0112, rel=1e-12)
 

@@ -40,7 +40,7 @@ def two_stage_build(problem, n_cells, method):
             node_u[np.abs(node_x - left.x_hi) <= 1e-12 * width] = 0.5 * (left.u + right.u)
         state = SghState(node_u, rho, eps, p, c)
     else:
-        state = CchState(rho, u, eps + 0.5 * u ** 2, eps, p, c)
+        state = CchState(rho, np.array((u, eps + 0.5 * u ** 2)), eps, p, c)
     if problem.center_energy is not None:
         if n_cells % 2 == 0:
             targets = (n_cells // 2 - 1, n_cells // 2)

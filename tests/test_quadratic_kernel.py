@@ -29,11 +29,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unihydro as uh
-from unihydro.closure import (ACOUSTIC, _acoustic_kernel, _quadratic_kernel,
-                              _two_shock_kernel, solve_nodes, star_pressure)
+from unihydro.closure import ACOUSTIC, _quadratic_kernel, star_pressure
 from unihydro.mesh import Workspace
 
-from oracles import solve_buffers
+from oracles import acoustic_solve, face_solve, two_shock_solve
 
 GAMMA = 1.4
 K = 0.5 * (GAMMA + 1.0)
@@ -110,11 +109,14 @@ def exact_root(rl, cl, pl, ul, rr, cr, pr, ur, u_ac):
 
 
 def quadratic(rl, cl, pl, ul, rr, cr, pr, ur, u_ac):
-    """``_quadratic_kernel`` around the acoustic guess ``u_ac``, into fresh arrays."""
+    """``_quadratic_kernel`` around the acoustic guess ``u_ac``, into fresh arrays:
+    (u_star, p_star_left_side, p_star_right_side, accepted)."""
     n = np.shape(u_ac)
-    out = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
-    return _quadratic_kernel(rl, cl, pl, rr, cr, pr, GAMMA, u_ac, u_ac - ul, ur - u_ac,
-                             rl * cl, rr * cr, out, Workspace(n[0] + 1).faces[:7])
+    out = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool), np.empty((2, *n)))
+    zl, zr = rl * cl, rr * cr
+    return _quadratic_kernel(zl, K * rl, cl, pl, zr, K * rr, cr, pr, K, u_ac,
+                             np.array((u_ac - ul, ur - u_ac)), zl + zr, out,
+                             Workspace(n[0] + 1))[:4]
 
 
 def balance_residual(ps_l, ps_r):
@@ -132,7 +134,7 @@ def assert_matches_reference(rl, cl, pl, ul, rr, cr, pr, ur):
     is not. Returns the numbers of nodes accepted and of nodes that needed the
     exception."""
     args = tuple(np.asarray(a, dtype=float) for a in (rl, cl, pl, ul, rr, cr, pr, ur))
-    u_ac, _ = _acoustic_kernel(*args, Workspace(len(args[0]) + 1).faces[:5])
+    u_ac, _ = acoustic_solve(*args)
     with np.errstate(all="ignore"):
         *ref, ref_ok, u_try = reference_kernel(*args, GAMMA, u_ac)
     rl, cl, pl, ul, rr, cr, pr, ur = args
@@ -170,15 +172,12 @@ def assert_two_shock_where_rejected(rl, cl, pl, ul, rr, cr, pr, ur, rejected):
     bitwise ``_two_shock_kernel`` on the gathered subset, one pressure on both
     sides; every output is finite."""
     args = tuple(np.asarray(a, dtype=float) for a in (rl, cl, pl, ul, rr, cr, pr, ur))
-    u_star, ps_l, ps_r, order = solve_nodes(*args, GAMMA, **solve_buffers(len(args[0])))
+    u_star, ps_l, ps_r, order = face_solve(*args, GAMMA)
     assert np.isfinite(u_star).all() and np.isfinite(ps_l).all() and np.isfinite(ps_r).all()
     j = np.asarray(rejected)
     assert np.flatnonzero(order == ACOUSTIC).tolist() == j.tolist()
     rl, cl, pl, ul, rr, cr, pr, ur = (a[j] for a in args)
-    faces = Workspace(len(rl) + 1).faces
-    u_ac, _ = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, faces[:5])
-    u_2s, p_2s = _two_shock_kernel(rl, cl, pl, ul, rr, cr, pr, ur, GAMMA, u_ac - ul, ur - u_ac,
-                                   faces[5:8])
+    u_2s, p_2s = two_shock_solve(rl, cl, pl, ul, rr, cr, pr, ur, GAMMA)
     for got, want in ((u_star[j], u_2s), (ps_l[j], p_2s), (ps_r[j], p_2s)):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -206,7 +205,7 @@ def test_covers_linear_negative_discriminant_and_zero_jump():
     assert 0.0 < abs(A[5]) < 1e-12 * K and disc[5] < 0.0
     root4 = -B[4] / (2.0 * A[4])
     assert cl[4] >= K * abs(root4 - ul[4]) and cr[4] >= K * abs(root4 - ur[4])
-    u_ac, _ = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, Workspace(len(rl) + 1).faces[:5])
+    u_ac, _ = acoustic_solve(rl, cl, pl, ul, rr, cr, pr, ur)
     u_star, _, _, accepted = quadratic(rl, cl, pl, ul, rr, cr, pr, ur, u_ac)
     assert accepted.tolist() == [True, True, False, True, False, False]
     assert u_star[1] == 0.3
@@ -223,7 +222,7 @@ def test_expanding_equal_density_and_rejected_nodes():
                                             [0.0, 3.0, 101.0], [0.0, 0.25, -0.42]))
     rr, cr, pr, ur = (np.array(v) for v in ([1.0, 2.0, 0.1], [1.0, 1.25, 1.0],
                                             [0.0, 1.0, 1.0], [1.0, -0.5, 0.0]))
-    u_ac, _ = _acoustic_kernel(rl, cl, pl, ul, rr, cr, pr, ur, Workspace(len(rl) + 1).faces[:5])
+    u_ac, _ = acoustic_solve(rl, cl, pl, ul, rr, cr, pr, ur)
     u_star, ps_l, ps_r, accepted = quadratic(rl, cl, pl, ul, rr, cr, pr, ur, u_ac)
     assert accepted.tolist() == [True, True, False]
     assert u_star[0] == 0.5 and ps_l[0] == ps_r[0] == -0.2
@@ -277,10 +276,8 @@ def test_mirrored_nodes_mirror_exactly(nodes):
     (zeros of either sign compare equal), at every node; every output is finite."""
     rl, cl, pl, ul, rr, cr, pr, ur = _node_arrays(nodes)
     for solver in ("acoustic", "quadratic"):
-        u_star, ps_l, ps_r, order = solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, GAMMA, solver,
-                                                **solve_buffers(len(rl)))
-        m_star, m_l, m_r, m_order = solve_nodes(rr, cr, pr, -ur, rl, cl, pl, -ul, GAMMA, solver,
-                                                **solve_buffers(len(rl)))
+        u_star, ps_l, ps_r, order = face_solve(rl, cl, pl, ul, rr, cr, pr, ur, GAMMA, solver)
+        m_star, m_l, m_r, m_order = face_solve(rr, cr, pr, -ur, rl, cl, pl, -ul, GAMMA, solver)
         assert np.isfinite((u_star, ps_l, ps_r, m_star, m_l, m_r)).all()
         assert np.array_equal(m_order, order)
         assert np.array_equal(m_star, -u_star)

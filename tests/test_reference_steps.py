@@ -76,10 +76,11 @@ def ref_solve_nodes(rl, cl, pl, ul, rr, cr, pr, ur, gamma, solver):
     if solver == "acoustic":
         return u_ac, p_ac, p_ac, np.full(np.shape(u_ac), closure.ACOUSTIC, dtype=np.int8)
     out = (np.empty(u_ac.shape), np.empty(u_ac.shape), np.empty(u_ac.shape),
-           np.empty(u_ac.shape, dtype=bool))
-    u_star, ps_l, ps_r, accepted = closure._quadratic_kernel(
-        rl, cl, pl, rr, cr, pr, gamma, u_ac, u_ac - ul, ur - u_ac, rl * cl, rr * cr, out,
-        Workspace(len(rl) + 1).faces[:7])
+           np.empty(u_ac.shape, dtype=bool), np.empty((2, *u_ac.shape)))
+    k = 0.5 * (gamma + 1.0)
+    u_star, ps_l, ps_r, accepted, _ = closure._quadratic_kernel(
+        rl * cl, k * rl, cl, pl, rr * cr, k * rr, cr, pr, k, u_ac,
+        np.array((u_ac - ul, ur - u_ac)), rl * cl + rr * cr, out, Workspace(len(rl) + 1))
     j = np.flatnonzero(~accepted)
     if j.size:
         u_star[j], p_2s = ref_two_shock(
@@ -95,11 +96,10 @@ def ref_cch_step(state, mesh, gas, dt, bc_left, bc_right, solver):
     us[1:-1], psl[1:-1], psr[1:-1], order[1:-1] = ref_solve_nodes(
         state.rho[:-1], state.c[:-1], state.p[:-1], state.u[:-1],
         state.rho[1:], state.c[1:], state.p[1:], state.u[1:], gas.gamma, solver)
-    us[0], psl[0], psr[0], order[0] = cch._boundary_node(
-        bc_left, state.rho[0], state.c[0], state.p[0], state.u[0], gas.gamma, solver, "left")
-    us[-1], psl[-1], psr[-1], order[-1] = cch._boundary_node(
-        bc_right, state.rho[-1], state.c[-1], state.p[-1], state.u[-1], gas.gamma, solver,
-        "right")
+    k = 0.5 * (gas.gamma + 1.0)
+    cells = (state.rho * state.c, k * state.rho, state.c, state.p, state.u, k, solver)
+    us[0], psl[0], psr[0], order[0] = cch._boundary_node(bc_left, 0, *cells)
+    us[-1], psl[-1], psr[-1], order[-1] = cch._boundary_node(bc_right, -1, *cells)
     ps = 0.5 * (psl + psr)
     m = mesh.cell_mass
 
@@ -108,7 +108,7 @@ def ref_cch_step(state, mesh, gas, dt, bc_left, bc_right, solver):
     new_mesh = ref_update_geometry(mesh, us, dt)
     rho_new = m / ref_volumes(new_mesh)
     eps_new = E_new - 0.5 * u_new ** 2
-    new_state = CchState(rho_new, u_new, E_new, eps_new,
+    new_state = CchState(rho_new, np.array((u_new, E_new)), eps_new,
                          *ref_cell_thermo(gas, rho_new, eps_new))
     p, u = state.p, state.u
     production = ((p - psr[:-1]) * (u - us[:-1]) + (p - psl[1:]) * (us[1:] - u))
@@ -123,7 +123,7 @@ def ref_sgh_advance(base_state, base_mesh, work_state, gas, dt, bc_left, bc_righ
     u_work = work_state.node_u
     du = u_work[1:] - u_work[:-1]
     p_star = closure.sgh_star_pressure(work_state.rho, work_state.c, work_state.p, du,
-                                       gas.gamma, Workspace(len(du)).cells[:2])
+                                       0.5 * (gas.gamma + 1.0), Workspace(len(du)).cells[:2])
     p_cell = work_state.p
     if p_pred is not None:   # the corrector pass: the two passes' average acts throughout
         p_star, p_cell = 0.5 * (p_star + p_pred), 0.5 * (work_state.p + base_state.p)

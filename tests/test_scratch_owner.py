@@ -1,10 +1,10 @@
 """Step scratch has one owner: the run's ``mesh.Workspace``.
 
 Below the steppers every buffer parameter is required, so no library path
-makes its own scratch for a caller that passes none. Four functions keep a
-default: ``closure.star_pressure`` and ``closure._admissible``, which
-``cch._boundary_node`` calls on scalars, and ``sgh.step`` and ``cch.step``,
-which build the same Workspace for a caller that steps a mesh by hand.
+makes its own scratch for a caller that passes none. Three functions keep a
+default: ``closure.star_pressure``, which ``cch._boundary_node`` calls on
+scalars, and ``sgh.step`` and ``cch.step``, which build the same Workspace for
+a caller that steps a mesh by hand.
 """
 
 import inspect
@@ -13,7 +13,7 @@ from unihydro import cch, cli, closure, diagnostics, mesh, sgh
 
 MODULES = (closure, cch, sgh, mesh, cli, diagnostics)
 BUFFER_NAMES = {"out", "scratch", "workspace", "work", "t"}
-KEEP_DEFAULTS = {"closure.star_pressure", "closure._admissible", "sgh.step", "cch.step"}
+KEEP_DEFAULTS = {"closure.star_pressure", "sgh.step", "cch.step"}
 NOT_BUFFERS = {"cli.RunConfig.__init__"}   # its ``out`` is the output directory
 
 
@@ -45,7 +45,7 @@ def test_buffer_parameters_are_required():
     functions = _functions()
     # the walk reaches the layers whose buffers it pins
     assert {"closure.solve_nodes", "closure._quadratic_kernel", "cch.solve_all_nodes",
-            "mesh.CchState.velocity_jumps", "mesh.SghState.total_energy",
+            "mesh.CchState.velocity_jumps", "mesh.SghState.totals",
             "cli.compute_dt", "diagnostics.EntropyMonitor.update",
             "diagnostics.ConservationLedger.__init__"} <= functions.keys()
     defaulted = {name: params for name, fn in functions.items()
