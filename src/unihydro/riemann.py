@@ -24,7 +24,7 @@ class PrimitiveState:
     p: float
 
     def __post_init__(self):
-        if not (self.rho > 0.0 and self.p >= 0.0):
+        if not (0.0 < self.rho < np.inf and abs(self.u) < np.inf and 0.0 <= self.p < np.inf):
             raise ValueError(f"invalid state {self}")
 
     def sound_speed(self, gamma: float) -> float:

@@ -82,7 +82,7 @@ def test_convergence_runs_go_through_cli_run(monkeypatch):
 
     monkeypatch.setattr(cli, "run", recording)
     cli.run_convergence(cli.RunConfig(problem="sedov", method="sgh"), [20, 40], n_reference=40)
-    assert calls == [("cch", 40), ("sgh", 20), ("sgh", 40)]
+    assert calls == [("sgh", 40), ("sgh", 20), ("sgh", 40)]
 
 
 def test_exact_reference_study_makes_no_hidden_run(monkeypatch):

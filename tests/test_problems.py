@@ -244,6 +244,17 @@ class TestSampleReference:
         ref = sample_reference(p, x, 1.8, n_reference=200)
         np.testing.assert_allclose(ref["rho"], 1.0 + 0.2 * np.sin(5.0 * x), atol=5e-3)
 
+    def test_sedov_reference_lands_on_the_exact_shock(self):
+        """The planar Sedov shock at t = 0.001 is at r2 = 1.4374 (the closed form of
+        Kamm & Timmes, LA-UR-07-2849) with the strong-shock density
+        (gamma + 1) / (gamma - 1) = 6: the N = 800 reference peaks within 0.5% of
+        r2 and within 1% of 6."""
+        p = uh.sedov()
+        x = np.linspace(0.0, p.domain[1], 8001)
+        rho = sample_reference(p, x, p.t_end, n_reference=800)["rho"]
+        assert x[np.argmax(rho)] == pytest.approx(1.4374, rel=5e-3)
+        assert rho.max() == pytest.approx(6.0, rel=1e-2)
+
 
 def recorded_runs(monkeypatch):
     """(method, n_cells) of every ``cli.run`` call from here on, through a
@@ -280,7 +291,7 @@ class TestReferenceMemo:
     def test_second_study_of_the_same_problem_reuses_the_hidden_run(self, monkeypatch):
         calls = recorded_runs(monkeypatch)
         tables = [converge("sedov", method, [20, 30]).format() for method in ("sgh", "cch")]
-        assert calls == [("cch", 40), ("sgh", 20), ("sgh", 30), ("cch", 20), ("cch", 30)]
+        assert calls == [("sgh", 40), ("sgh", 20), ("sgh", 30), ("cch", 20), ("cch", 30)]
         fresh = []
         for method in ("sgh", "cch"):
             problems._last_reference.clear()
@@ -291,7 +302,7 @@ class TestReferenceMemo:
         calls = recorded_runs(monkeypatch)
         for name in ("sedov", "lax", "sedov"):
             converge(name, "sgh", [10, 20])
-        assert calls.count(("cch", 40)) == 2
+        assert calls.count(("sgh", 40)) == 2
 
     @pytest.mark.parametrize("changed", [
         dict(t=0.1), dict(n_reference=50), dict(region_u=-0.0), dict(domain=[0.0, 1.0]),

@@ -14,6 +14,17 @@ SOD_L = PrimitiveState(1.0, 0.0, 1.0)
 SOD_R = PrimitiveState(0.125, 0.0, 0.1)
 
 
+@pytest.mark.parametrize("rho, u, p", [
+    (np.inf, 0.0, 1.0), (np.nan, 0.0, 1.0), (0.0, 0.0, 1.0),
+    (1.0, np.inf, 1.0), (1.0, -np.inf, 1.0), (1.0, np.nan, 1.0),
+    (1.0, 0.0, np.inf), (1.0, 0.0, np.nan), (1.0, 0.0, -1.0),
+], ids=["rho_inf", "rho_nan", "rho_zero", "u_inf", "u_minus_inf", "u_nan",
+        "p_inf", "p_nan", "p_negative"])
+def test_state_must_be_finite_and_admissible(rho, u, p):
+    with pytest.raises(ValueError, match="invalid state"):
+        PrimitiveState(rho, u, p)
+
+
 class TestStarStates:
     def test_sod(self):
         sol = solve(SOD_L, SOD_R, 1.4)
